@@ -639,12 +639,6 @@ module Regress = struct
       vs
 end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* numeric flag values get a clean usage error, not an uncaught
    [Failure "int_of_string"] stack trace *)
 let int_flag ~cmd ~flag v =
@@ -758,7 +752,9 @@ let run_diff args =
   end
   else begin
     let base =
-      match Stdx.Json.of_string (read_file !file) with
+      match
+        Stdx.Json.of_string (In_channel.with_open_bin !file In_channel.input_all)
+      with
       | Ok json -> (
         match Regress.of_json json with
         | Ok base -> base

@@ -213,6 +213,46 @@ module Common = struct
       trace }
 
   let build ?trace c = Harness.Runner.build (options ?trace c)
+
+  (* The trace consumers [analyze], [critpath] and [explain] read, from
+     one of two event sources: a [--jsonl] dump replayed once into fresh
+     consumers, or a traced fleet built from the shared flags, whose
+     live consumers saw every event. [observer] anchors the critical
+     path at that process; otherwise a replay picks the longest log and
+     a live run its vantage process — in both cases the analyzer's
+     observer. *)
+  let collectors ~cmd ?observer c jsonl =
+    match jsonl with
+    | Some path -> (
+      let cs =
+        { Harness.Runner.analyzer = Analyze.create ();
+          forensics = Forensics.create ();
+          critpath = Critpath.create ?observer () }
+      in
+      match
+        Trace.replay_jsonl_file path
+          [ Analyze.feed cs.analyzer;
+            Forensics.feed cs.forensics;
+            Critpath.feed cs.critpath ]
+      with
+      | Ok () -> cs
+      | Error e ->
+        Printf.eprintf "%s: %s\n" cmd e;
+        exit 1)
+    | None -> (
+      let tracer = Trace.create ~capacity:4096 () in
+      let anchored =
+        Option.map
+          (fun observer ->
+            let cp = Critpath.create ~observer () in
+            Trace.add_sink tracer (Critpath.feed cp);
+            cp)
+          observer
+      in
+      let fleet = build ~trace:tracer c in
+      Harness.Runner.run fleet ~until:c.until;
+      let cs = Option.get (Harness.Runner.collectors fleet) in
+      match anchored with Some critpath -> { cs with critpath } | None -> cs)
 end
 
 let write_file path contents =
@@ -314,18 +354,7 @@ let trace_cmd =
 let analyze_cmd =
   let run (c : Common.t) jsonl json_out =
     let report =
-      match jsonl with
-      | Some path ->
-        (match Analyze.of_jsonl_file path with
-        | Ok report -> report
-        | Error e ->
-          Printf.eprintf "analyze: %s\n" e;
-          exit 1)
-      | None ->
-        let tracer = Trace.create ~capacity:4096 () in
-        let fleet = Common.build ~trace:tracer c in
-        Harness.Runner.run fleet ~until:c.until;
-        Option.get (Harness.Runner.analysis fleet)
+      Analyze.finalize (Common.collectors ~cmd:"analyze" c jsonl).analyzer
     in
     (match json_out with
     | Some path ->
@@ -356,35 +385,10 @@ let analyze_cmd =
 let critpath_cmd =
   let run (c : Common.t) jsonl node top json dot_out =
     (* both collectors run over the same event source so the cross-check
-       compares like with like; on live runs they stream through sinks
-       and see the whole run even past ring wrap *)
-    let cp_report, an_report =
-      match jsonl with
-      | Some path -> (
-        match Analyze.of_jsonl_file path with
-        | Error e ->
-          Printf.eprintf "critpath: %s\n" e;
-          exit 1
-        | Ok ar ->
-          let observer =
-            match node with Some p -> p | None -> ar.Analyze.r_observer
-          in
-          let config =
-            { Critpath.default_config with observer = Some observer }
-          in
-          (match Critpath.of_jsonl_file ~config path with
-          | Error e ->
-            Printf.eprintf "critpath: %s\n" e;
-            exit 1
-          | Ok rep -> (rep, ar)))
-      | None ->
-        let tracer = Trace.create ~capacity:4096 () in
-        let fleet = Common.build ~trace:tracer c in
-        Harness.Runner.run fleet ~until:c.until;
-        let cp = Option.get (Harness.Runner.critpath fleet) in
-        let config = { Critpath.default_config with observer = node } in
-        (Critpath.finalize ~config cp, Option.get (Harness.Runner.analysis fleet))
-    in
+       compares like with like *)
+    let cs = Common.collectors ~cmd:"critpath" ?observer:node c jsonl in
+    let cp_report = Critpath.finalize cs.critpath in
+    let an_report = Analyze.finalize cs.analyzer in
     let checks =
       if cp_report.Critpath.r_observer = an_report.Analyze.r_observer then
         Critpath.cross_check cp_report an_report
@@ -481,30 +485,9 @@ let vref_conv =
   let print ppf (r, p) = Format.fprintf ppf "%d,%d" r p in
   Arg.conv (parse, print)
 
-(* Build a forensics collector either from a replayed JSONL dump or by
-   running a fresh traced fleet with the shared flags — the same two
-   sources [analyze] reads from. *)
-let forensics_of (c : Common.t) jsonl =
-  match jsonl with
-  | Some path ->
-    (match Forensics.of_jsonl_file path with
-    | Ok fx -> fx
-    | Error e ->
-      Printf.eprintf "explain: %s\n" e;
-      exit 1)
-  | None ->
-    let tracer = Trace.create ~capacity:4096 () in
-    let fleet = Common.build ~trace:tracer c in
-    Harness.Runner.run fleet ~until:c.until;
-    (match Harness.Runner.forensics fleet with
-    | Some fx -> fx
-    | None ->
-      prerr_endline "explain: traced run produced no forensics collector";
-      exit 1)
-
 let explain_cmd =
   let run (c : Common.t) jsonl node wave vertex json =
-    let fx = forensics_of c jsonl in
+    let fx = (Common.collectors ~cmd:"explain" c jsonl).forensics in
     let node =
       match node with
       | Some n -> n
@@ -581,8 +564,9 @@ let explain_cmd =
 let divergence_cmd =
   let run file_a file_b node_a node_b json =
     let load label path =
-      match Forensics.of_jsonl_file path with
-      | Ok fx -> fx
+      let fx = Forensics.create () in
+      match Trace.replay_jsonl_file path [ Forensics.feed fx ] with
+      | Ok () -> fx
       | Error e ->
         Printf.eprintf "divergence: %s: %s\n" label e;
         exit 1
@@ -708,13 +692,13 @@ let dot_cmd =
     match snapshot with
     | Some path ->
       (* offline: a saved snapshot has no trace, so no leader classes *)
-      let contents =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (match Dagrider.Snapshot.dag_of_string contents with
+      (match
+         Dagrider.Snapshot.dag_of_string
+           (In_channel.with_open_bin path In_channel.input_all)
+       with
+      | exception Sys_error e ->
+        Printf.eprintf "dot: %s\n" e;
+        exit 1
       | Ok dag ->
         print_string (Dagrider.Render.dot_classified ~max_round:rounds dag)
       | Error e ->

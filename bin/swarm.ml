@@ -151,7 +151,7 @@ let lossy_of_flags ~loss ~dup ~corrupt ~reorder =
 let traces_dir = "traces"
 
 let dump_trace (sc : Check.Scenario.t) =
-  let tracer = Check.Swarm.trace_scenario sc in
+  let tracer, collectors = Check.Swarm.trace_scenario sc in
   (if not (Sys.file_exists traces_dir) then Sys.mkdir traces_dir 0o755);
   let path =
     Filename.concat traces_dir
@@ -164,10 +164,10 @@ let dump_trace (sc : Check.Scenario.t) =
     (if sc.Check.Scenario.sabotage then "sabotage" else "honest")
     (List.length (Trace.events tracer))
     (Trace.dropped tracer);
-  (* the forensics sink sees the whole stream even past ring wrap:
+  (* the run's live consumers saw the whole stream even past ring wrap:
      summarize every node's wave stories so triage can see who decided
      what without replaying the trace *)
-  let fx = Forensics.of_events (Trace.events tracer) in
+  let fx = collectors.Harness.Runner.forensics in
   (match Forensics.nodes fx with
   | [] -> ()
   | nodes ->
@@ -186,30 +186,13 @@ let dump_trace (sc : Check.Scenario.t) =
     close_out oc;
     Printf.printf "  explain: %s (certificate stories of %d node(s))\n"
       explain_path (List.length nodes));
-  (* the analyzer sees only the ring's retained window; truncation is
-     reported inside the summary rather than hidden *)
-  let rule =
-    Harness.Runner.effective_rule (Check.Scenario.to_options sc)
-  in
-  let config =
-    { Analyze.default_config with
-      wave_length = rule.Dagrider.Ordering.rule_wave_length;
-      rule_name = rule.Dagrider.Ordering.rule_name;
-      round_robin_n =
-        (match rule.Dagrider.Ordering.rule_schedule with
-        | Dagrider.Ordering.Coin -> None
-        | Dagrider.Ordering.Round_robin -> Some sc.Check.Scenario.n);
-      waves_bound = rule.Dagrider.Ordering.rule_bound;
-      f = Some sc.Check.Scenario.f;
-      byzantine = Check.Scenario.faulty_nodes sc }
-  in
-  let report = Analyze.analyze ~config (Trace.events tracer) in
+  let report = Analyze.finalize collectors.Harness.Runner.analyzer in
   List.iter
     (fun line -> if line <> "" then Printf.printf "  %s\n" line)
     (String.split_on_char '\n' (Analyze.render_anomalies report));
   (* the critical path of the last committed wave: where did the final
      commit's latency go before everything stopped? *)
-  let cp = Critpath.analyze (Trace.events tracer) in
+  let cp = Critpath.finalize collectors.Harness.Runner.critpath in
   match
     List.find_opt
       (fun p -> p.Critpath.p_complete)

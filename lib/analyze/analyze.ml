@@ -1,8 +1,4 @@
 type config = {
-  wave_length : int;
-  rule_name : string;
-  round_robin_n : int option;
-  waves_bound : float;
   f : int option;
   byzantine : int list;
   observer : int option;
@@ -14,11 +10,7 @@ type config = {
 }
 
 let default_config =
-  { wave_length = 4;
-    rule_name = "dagrider";
-    round_robin_n = None;
-    waves_bound = 1.5;
-    f = None;
+  { f = None;
     byzantine = [];
     observer = None;
     stall_factor = 8.0;
@@ -165,7 +157,7 @@ type report = {
 (* the observer's ordering events, chronological once reversed *)
 type ord_ev =
   | Oelect of { wave : int; leader : int; at : float }
-  | Oskip of { wave : int; leader : int; at : float }
+  | Oskip of { wave : int; leader : int }
   | Ocommit of {
       wave : int;
       leader_source : int;
@@ -175,6 +167,8 @@ type ord_ev =
     }
 
 type t = {
+  config : config;
+  evidence : Forensics.rule_evidence; (* the run's rule, from certificates *)
   mutable count : int;
   mutable first_seq : int; (* -1 until the first event *)
   mutable t_min : float;
@@ -197,8 +191,7 @@ type t = {
   adeliv : (int, (int * int * float * float option) list ref) Hashtbl.t;
       (* node -> rev (round, source, at, attributed commit time) *)
   skip_certs : (int * int, string) Hashtbl.t;
-      (* (node, wave) -> certificate skip reason (authoritative,
-         replaces the insertion-table heuristic when present) *)
+      (* (node, wave) -> certificate skip reason *)
   drop_reasons : (string, int ref) Hashtbl.t;
   retrans_links : (int * int, int ref) Hashtbl.t; (* (src, dst) -> count *)
   giveup_links : (int * int, int ref) Hashtbl.t;
@@ -210,8 +203,10 @@ type t = {
       (* node -> rejection reasons, reverse-chronological *)
 }
 
-let create () =
-  { count = 0;
+let create ?(config = default_config) () =
+  { config;
+    evidence = Forensics.rule_evidence ();
+    count = 0;
     first_seq = -1;
     t_min = 0.0;
     t_max = 0.0;
@@ -316,20 +311,23 @@ let feed t (e : Trace.event) =
   | Trace.Leader_skipped { node; wave; leader } ->
     bump node;
     bump leader;
-    push t.ord node (Oskip { wave; leader; at = time })
+    push t.ord node (Oskip { wave; leader })
   | Trace.Commit { node; wave; leader_source; direct; delivered; _ } ->
     bump node;
     bump leader_source;
     push t.ord node (Ocommit { wave; leader_source; direct; delivered; at = time });
     Hashtbl.replace t.last_commit node time
-  | Trace.Commit_cert { node; leader_source; _ } ->
+  | Trace.Commit_cert { node; rule; wave; leader_round; leader_source; _ } ->
     (* the compact Commit event drives the wave records; the certificate
-       adds nothing the analyzer aggregates (forensics consumes it) *)
-    bump node;
-    bump leader_source
-  | Trace.Skip_cert { node; wave; leader_source; reason; _ } ->
+       names the run's rule *)
     bump node;
     bump leader_source;
+    Forensics.note_rule t.evidence ~rule ~wave ~leader_round
+  | Trace.Skip_cert { node; rule; wave; leader_round; leader_source; reason; _ }
+    ->
+    bump node;
+    bump leader_source;
+    Forensics.note_rule t.evidence ~rule ~wave ~leader_round;
     if not (Hashtbl.mem t.skip_certs (node, wave)) then
       Hashtbl.add t.skip_certs (node, wave) reason
   | Trace.A_deliver { node; round; source } ->
@@ -394,12 +392,27 @@ let chronological tbl key =
 let min_gaps_for_median = 4
 let min_flagged_gap = 0.5
 
-let finalize ?(config = default_config) t =
+let finalize t =
+  let config = t.config in
   let processes = max 1 (t.max_node + 1) in
   let f =
     match config.f with Some f -> f | None -> (processes - 1) / 3
   in
-  let wave_length = max 1 config.wave_length in
+  (* the rule comes from the stream's certificates; a trace without any
+     is read under DAG-Rider's defaults *)
+  let rule =
+    Option.value (Forensics.inferred_rule t.evidence)
+      ~default:Dagrider.Ordering.dag_rider
+  in
+  let wave_length = max 1 rule.Dagrider.Ordering.rule_wave_length in
+  (* round-robin leaders rotate over every process the stream names,
+     [Send] destinations included, so a process that crashed before
+     emitting anything still counts *)
+  let round_robin_n =
+    match rule.Dagrider.Ordering.rule_schedule with
+    | Dagrider.Ordering.Coin -> None
+    | Dagrider.Ordering.Round_robin -> Some processes
+  in
   let span = if t.have_time then (t.t_min, t.t_max) else (0.0, 0.0) in
   let horizon = snd span in
   (* observer: longest a_deliver log, ties to the lowest id *)
@@ -417,11 +430,10 @@ let finalize ?(config = default_config) t =
       done;
       !best
   in
-  let leader_round w = ((w - 1) * wave_length) + 1 in
   (* ---- wave records from the observer's ordering events ---- *)
   let obs_ord = chronological t.ord observer in
   let elected : (int, int * float) Hashtbl.t = Hashtbl.create 256 in
-  let skipped : (int, int * float) Hashtbl.t = Hashtbl.create 64 in
+  let skipped : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let committed : (int, float * bool * int * int) Hashtbl.t =
     (* wave -> (at, direct, delivered, resolver) *)
     Hashtbl.create 256
@@ -435,10 +447,10 @@ let finalize ?(config = default_config) t =
            are coin-instance resolutions on the coin cadence — their
            numbering is unrelated to ordering waves, so they must not
            be folded into the wave records *)
-        if config.round_robin_n = None && not (Hashtbl.mem elected wave) then
+        if round_robin_n = None && not (Hashtbl.mem elected wave) then
           Hashtbl.add elected wave (leader, at)
-      | Oskip { wave; leader; at } ->
-        if not (Hashtbl.mem skipped wave) then Hashtbl.add skipped wave (leader, at)
+      | Oskip { wave; leader } ->
+        if not (Hashtbl.mem skipped wave) then Hashtbl.add skipped wave leader
       | Ocommit { wave; direct; delivered; at; _ } ->
         if direct then begin
           (* the anchor: chained commits emitted just before it belong
@@ -464,7 +476,7 @@ let finalize ?(config = default_config) t =
     Hashtbl.iter (fun w _ -> note w) committed;
     (* coin instances number ordering waves only on coin-scheduled
        rules; under round-robin they run on a separate cadence *)
-    if config.round_robin_n = None then
+    if round_robin_n = None then
       Hashtbl.iter (fun w _ -> note w) t.coin_first;
     List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) seen [])
   in
@@ -487,37 +499,28 @@ let finalize ?(config = default_config) t =
             (Committed_chained resolver, Some at, delivered)
           | None -> (
             match skip with
-            | Some (leader, at) ->
+            | Some _ ->
               incr skipped_final;
-              (* the skip certificate carries the authoritative reason;
-                 traces predating certificates fall back to the
-                 insertion-table heuristic *)
+              (* the skip certificate carries the reason; a skip without
+                 one (restored past its wave, or cut off by the ring) is
+                 labelled as such rather than guessed *)
               let reason =
                 match Hashtbl.find_opt t.skip_certs (observer, w) with
                 | Some "leader-absent" -> "leader vertex absent"
                 | Some "under-supported" -> "leader under-supported"
                 | Some other -> other
-                | None -> (
-                  match
-                    Hashtbl.find_opt t.inserted (observer, leader_round w, leader)
-                  with
-                  | Some ins when ins <= at -> "leader under-supported"
-                  | _ -> "leader vertex absent")
+                | None -> "no certificate"
               in
               (Skipped reason, None, 0)
             | None -> (Unresolved, None, 0))
         in
         let leader =
-          match (leader_elect, skip, config.round_robin_n) with
-          | Some (l, _), _, _ -> Some l
-          | None, Some (l, _), _ -> Some l
+          match (leader_elect, skip, round_robin_n) with
+          | Some (l, _), _, _ | None, Some l, _ -> Some l
           | None, None, Some n ->
             (* round-robin leaders are implicit in the schedule *)
             Some ((w - 1) mod n)
-          | None, None, None -> (
-            match commit with
-            | Some _ -> None (* leader_source is the vertex, same thing *)
-            | None -> None)
+          | None, None, None -> None
         in
         let elected_at = Option.map snd leader_elect in
         let resolution =
@@ -770,8 +773,8 @@ let finalize ?(config = default_config) t =
   { r_processes = processes;
     r_f = f;
     r_wave_length = wave_length;
-    r_rule = config.rule_name;
-    r_waves_bound = config.waves_bound;
+    r_rule = rule.Dagrider.Ordering.rule_name;
+    r_waves_bound = rule.Dagrider.Ordering.rule_bound;
     r_observer = observer;
     r_events = t.count;
     r_truncated = t.first_seq > 0;
@@ -784,14 +787,14 @@ let finalize ?(config = default_config) t =
     r_waves_resolved =
       (* coin rules: waves whose leader the observer elected; round
          robin: every leader is predefined, so count processed waves *)
-      (match config.round_robin_n with
+      (match round_robin_n with
       | None -> Hashtbl.length elected
       | Some _ -> !processed);
     r_commits_direct = !direct_commits;
     r_commits_chained = !chained_commits;
     r_waves_skipped = !skipped_final;
     r_waves_per_commit = waves_per_commit;
-    r_claim6_ok = waves_per_commit <= config.waves_bound;
+    r_claim6_ok = waves_per_commit <= rule.Dagrider.Ordering.rule_bound;
     r_rounds = rounds;
     r_round_skew = round_skew;
     r_rbc_phases = rbc_phases;
@@ -803,26 +806,6 @@ let finalize ?(config = default_config) t =
     r_corrupt_rejects = t.corrupt_rejects;
     r_link_retransmits = link_retransmits;
     r_anomalies = List.rev !anomalies }
-
-let analyze ?config events =
-  let t = create () in
-  List.iter (feed t) events;
-  finalize ?config t
-
-let of_tracer ?config tracer = analyze ?config (Trace.events tracer)
-
-let of_jsonl_file ?config path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> (
-    match Trace.events_of_jsonl text with
-    | Error e -> Error e
-    | Ok events -> Ok (analyze ?config events))
 
 (* ---- output ---- *)
 

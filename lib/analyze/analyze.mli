@@ -3,8 +3,10 @@
 
     The input is any sequence of trace events — consumed live through
     {!Trace.add_sink} (so runs longer than the ring buffer are analyzed
-    in full), replayed from a JSONL dump, or taken from a tracer's
-    retained window. From it the analyzer derives:
+    in full) or replayed from a JSONL dump by
+    {!Trace.replay_jsonl_file}; both feed the same accumulator, so a
+    live run and a replay of its dump give the same report. From it the
+    analyzer derives:
 
     - a per-vertex commit-latency breakdown (vertex creation →
       reliable-broadcast deliver → DAG insert → wave commit →
@@ -22,28 +24,22 @@
 
     All ordering-level diagnostics are computed from one {e observer}
     process's events (commits, skips, [a_deliver]s); network-level ones
-    (round skew, RBC phases) pool every process. Feeding is cheap and
-    config-free — configuration binds at {!finalize}, so one accumulator
-    can be finalized under several configs. *)
+    (round skew, RBC phases) pool every process.
+
+    The commit rule is read from the stream, not configured: the
+    {!Trace.kind.Commit_cert} / {!Trace.kind.Skip_cert} certificates
+    name it, and their leader rounds pin the wave length (the inference
+    {!Forensics.inferred_rule} shares with the forensics collector).
+    The report's rule, wave length and waves-per-commit bound follow
+    from it. Under a round-robin rule (Bullshark) wave leaders are
+    [(w-1) mod n] over the [n] processes the stream names, [Send]
+    destinations included, and coin events — which then run on their
+    own cadence with unrelated instance numbering — are kept out of the
+    wave records; under a coin rule coin instance [w] {e is} ordering
+    wave [w]. A trace with no certificate is analysed under DAG-Rider's
+    defaults (4-round waves, coin leaders, bound 1.5). *)
 
 type config = {
-  wave_length : int;
-      (** {e ordering} rounds per wave (4 for DAG-Rider, 2 for
-          Bullshark) — leader rounds and skip attribution derive from
-          it *)
-  rule_name : string;
-      (** commit rule the trace ran under, echoed into the report
-          ("dagrider" by default) *)
-  round_robin_n : int option;
-      (** [Some n] = round-robin leader schedule over [n] processes
-          (Bullshark): wave leaders are inferred as [(w-1) mod n], and
-          coin events in the stream — which then run on their own
-          cadence with unrelated instance numbering — are kept out of
-          the wave records. [None] (default) = coin-scheduled leaders,
-          where coin instance [w] {e is} ordering wave [w]. *)
-  waves_bound : float;
-      (** the rule's waves-per-commit bound audited by [r_claim6_ok]
-          (1.5 for DAG-Rider per Claim 6) *)
   f : int option;  (** fault bound; [None] infers [(n-1)/3] *)
   byzantine : int list;
       (** processes counted Byzantine by the chain-quality audit *)
@@ -68,9 +64,8 @@ type config = {
 }
 
 val default_config : config
-(** The paper's rule: [wave_length = 4], [rule_name = "dagrider"],
-    [round_robin_n = None], [waves_bound = 1.5], everything inferred,
-    [stall_factor = 8.0], [slow_wave_factor = 4.0], [skip_streak = 3],
+(** Everything inferred from the stream, [stall_factor = 8.0],
+    [slow_wave_factor = 4.0], [skip_streak = 3],
     [lossy_link_factor = 4.0], [lossy_link_min = 20]. *)
 
 type summary = {
@@ -88,8 +83,10 @@ type wave_outcome =
       (** committed retroactively by the given later wave's backward
           chain (Algorithm 3 lines 38–43) *)
   | Skipped of string
-      (** never committed; the payload says why the ordering skipped it
-          ("leader vertex absent" or "leader under-supported") *)
+      (** never committed; the payload is the skip certificate's reason
+          ("leader vertex absent" or "leader under-supported"), or
+          "no certificate" when the stream holds none for the wave (a
+          node restored past it, or the ring cut the certificate off) *)
   | Unresolved  (** coin flipped but the observer never elected it *)
 
 type wave_record = {
@@ -156,9 +153,11 @@ val describe_anomaly : anomaly -> string
 type report = {
   r_processes : int;
   r_f : int;
-  r_wave_length : int;
-  r_rule : string;  (** the config's [rule_name] *)
-  r_waves_bound : float;  (** the config's [waves_bound] *)
+  r_wave_length : int;  (** rounds per wave, from the certificates *)
+  r_rule : string;  (** the rule the certificates name *)
+  r_waves_bound : float;
+      (** that rule's waves-per-commit bound (1.5 for DAG-Rider per
+          Claim 6) *)
   r_observer : int;
   r_events : int;  (** events fed *)
   r_truncated : bool;
@@ -183,7 +182,7 @@ type report = {
   r_waves_skipped : int;  (** skipped and never committed *)
   r_waves_per_commit : float;
       (** resolved / committed; [infinity] when nothing committed *)
-  r_claim6_ok : bool;  (** [r_waves_per_commit <= waves_bound] *)
+  r_claim6_ok : bool;  (** [r_waves_per_commit <= r_waves_bound] *)
   r_rounds : (int * int) list;  (** per process: highest round entered *)
   r_round_skew : summary;
       (** per-round spread (last − first process to enter it) *)
@@ -209,28 +208,17 @@ type report = {
 type t
 (** A streaming accumulator; feed in any order-preserving way. *)
 
-val create : unit -> t
+val create : ?config:config -> unit -> t
+(** All configuration is given here, once (default {!default_config}). *)
 
 val feed : t -> Trace.event -> unit
 (** O(1) per event; [Trace.add_sink tracer (feed acc)] analyzes a live
-    run in full. *)
+    run in full, [Trace.replay_jsonl_file path [feed acc]] a dump. *)
 
-val finalize : ?config:config -> t -> report
+val finalize : t -> report
 (** Compute the report from everything fed so far. Pure with respect to
     the accumulator — feeding can continue and [finalize] can be called
     again (e.g. mid-run progress reports). *)
-
-val analyze : ?config:config -> Trace.event list -> report
-(** Feed a replayed event list and finalize. *)
-
-val of_tracer : ?config:config -> Trace.t -> report
-(** Analyze a tracer's retained window ({!Trace.events} — the newest
-    [capacity] events; [r_truncated] reports whether older ones were
-    lost). *)
-
-val of_jsonl_file : ?config:config -> string -> (report, string) result
-(** Replay a JSONL trace dump written by [dagrider_run trace --jsonl]
-    or the swarm checker. *)
 
 (** {1 Output} *)
 

@@ -11,7 +11,8 @@ type outcome = {
    mid-run safety checks (agreement + append-only logs) *)
 let slices = 5
 
-let run_scenario ?trace (sc : Scenario.t) =
+(* one scenario run, also returning the fleet it ran *)
+let run_fleet ?trace (sc : Scenario.t) =
   let commits = ref [] in
   let violations = ref [] in
   (* the hook fires synchronously inside the ordering step, before the
@@ -92,17 +93,20 @@ let run_scenario ?trace (sc : Scenario.t) =
           (Dagrider.Node.ordering (Harness.Runner.node runner i)))
       correct
   in
-  { scenario = sc;
-    violations = List.sort_uniq compare !violations;
-    delivered_min = List.fold_left min max_int counts;
-    delivered_max = List.fold_left max 0 counts;
-    commits = List.length !commits;
-    events = Sim.Engine.events_executed engine }
+  ( { scenario = sc;
+      violations = List.sort_uniq compare !violations;
+      delivered_min = List.fold_left min max_int counts;
+      delivered_max = List.fold_left max 0 counts;
+      commits = List.length !commits;
+      events = Sim.Engine.events_executed engine },
+    runner )
+
+let run_scenario ?trace sc = fst (run_fleet ?trace sc)
 
 let trace_scenario (sc : Scenario.t) =
   let tracer = Trace.create () in
-  ignore (run_scenario ~trace:tracer sc);
-  tracer
+  let _, runner = run_fleet ~trace:tracer sc in
+  (tracer, Option.get (Harness.Runner.collectors runner))
 
 let repro_command (sc : Scenario.t) =
   Printf.sprintf "dune exec bin/swarm.exe -- --seed %d%s%s%s%s" sc.Scenario.seed

@@ -24,10 +24,12 @@ val run_scenario : ?trace:Trace.t -> Scenario.t -> outcome
     function of the seed, tracing a re-run reproduces the original
     execution event for event. *)
 
-val trace_scenario : Scenario.t -> Trace.t
-(** Re-run [sc] with a fresh tracer and return it — the swarm CLI calls
-    this on every (shrunk) failure so the event log can be written next
-    to the repro command. *)
+val trace_scenario : Scenario.t -> Trace.t * Harness.Runner.collectors
+(** Re-run [sc] with a fresh tracer and return it with the run's live
+    trace consumers — the swarm CLI calls this on every (shrunk)
+    failure so the event log can be written next to the repro command,
+    and its summary reads the consumers, which saw the whole stream,
+    rather than the ring's retained window. *)
 
 val repro_command : Scenario.t -> string
 (** The exact command line that replays this scenario. *)

@@ -1,7 +1,3 @@
-type config = { observer : int option; tolerance : float }
-
-let default_config = { observer = None; tolerance = 1.0 }
-
 type hop = {
   h_id : int;
   h_src : int;
@@ -472,40 +468,37 @@ let segment_sel = function
   | "total" -> fun p -> p.p_total
   | _ -> fun _ -> nan
 
+(* the longest a_deliver log, ties to the lowest id — the analyzer's
+   default observer too *)
 let pick_observer t =
-  match t.stream_observer with
-  | Some o -> o
-  | None ->
-    let best = ref None in
-    Hashtbl.iter
-      (fun node cell ->
-        let len = List.length !cell in
-        match !best with
-        | Some (bn, blen) when blen > len || (blen = len && bn < node) -> ()
-        | _ -> best := Some (node, len))
-      t.adeliv;
-    (match !best with Some (node, _) -> node | None -> 0)
+  let best = ref None in
+  Hashtbl.iter
+    (fun node cell ->
+      let len = List.length !cell in
+      match !best with
+      | Some (bn, blen) when blen > len || (blen = len && bn < node) -> ()
+      | _ -> best := Some (node, len))
+    t.adeliv;
+  match !best with Some (node, _) -> node | None -> 0
 
-let finalize ?(config = default_config) t =
-  let observer =
-    match config.observer with Some o -> o | None -> pick_observer t
-  in
-  let paths =
+let finalize t =
+  let observer, paths =
     match t.stream_observer with
-    | Some o when o = observer -> List.rev t.built
-    | _ ->
+    | Some o -> (o, List.rev t.built)
+    | None ->
+      let observer = pick_observer t in
       let entries =
         match Hashtbl.find_opt t.adeliv observer with
         | Some cell -> List.rev !cell
         | None -> []
       in
-      List.map (build_path t ~observer) entries
+      (observer, List.map (build_path t ~observer) entries)
   in
   let complete = List.filter (fun p -> p.p_complete) paths in
   let reconciled =
     List.length
       (List.filter
-         (fun p -> Float.abs p.p_residual <= config.tolerance)
+         (fun p -> Float.abs p.p_residual <= t.tolerance)
          complete)
   in
   let max_residual =
@@ -591,7 +584,7 @@ let finalize ?(config = default_config) t =
     r_processes = t.max_node + 1;
     r_events = t.events;
     r_truncated = t.first_seq > 0;
-    r_tolerance = config.tolerance;
+    r_tolerance = t.tolerance;
     r_paths = paths;
     r_complete = List.length complete;
     r_reconciled = reconciled;
@@ -600,26 +593,6 @@ let finalize ?(config = default_config) t =
     r_segments = segments;
     r_stragglers = stragglers;
     r_edges = edges }
-
-let analyze ?config events =
-  let t = create () in
-  List.iter (feed t) events;
-  finalize ?config t
-
-let of_tracer ?config tr = analyze ?config (Trace.events tr)
-
-let of_jsonl_file ?config path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match Trace.events_of_jsonl contents with
-    | Error e -> Error e
-    | Ok events -> Ok (analyze ?config events))
 
 let segment_means t =
   let ss = t.stream in

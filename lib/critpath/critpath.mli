@@ -5,12 +5,13 @@
     average", this module answers "{e which messages, which links, and
     which stragglers} made THIS commit as slow as it was". It consumes
     the same {!Trace} event stream — live through {!Trace.add_sink} or
-    replayed from a JSONL dump — and uses the wire-level correlation
-    ids ({!Trace.kind.Send}[.id] / {!Trace.event}[.cause]) to rebuild,
-    for every vertex the observer [a_deliver]ed, the cross-node causal
-    chain from the proposer's [Vertex_created] to the observer's
-    reliable-broadcast delivery, and to partition the end-to-end
-    create→[a_deliver] latency into disjoint segments:
+    replayed from a JSONL dump by {!Trace.replay_jsonl_file} — and uses
+    the wire-level correlation ids ({!Trace.kind.Send}[.id] /
+    {!Trace.event}[.cause]) to rebuild, for every vertex the observer
+    [a_deliver]ed, the cross-node causal chain from the proposer's
+    [Vertex_created] to the observer's reliable-broadcast delivery, and
+    to partition the end-to-end create→[a_deliver] latency into
+    disjoint segments:
 
     - {b handler-hold}: time a causal message sat between the arrival
       of its trigger and its own first send (node-side processing);
@@ -39,18 +40,6 @@
     dwell from the event stream alone. Mempool dwell precedes vertex
     creation, so it reports alongside — not inside — the telescoping
     create→[a_deliver] decomposition and never perturbs residuals. *)
-
-type config = {
-  observer : int option;
-      (** process whose [a_deliver] log anchors reconstruction; [None]
-          picks the streaming observer if one was set at {!create},
-          else the process with the longest log (lowest id on ties) *)
-  tolerance : float;
-      (** |residual| bound (in virtual time) under which a path counts
-          as reconciled (default 1.0 — one simulator tick) *)
-}
-
-val default_config : config
 
 type hop = {
   h_id : int;  (** correlation id of the message *)
@@ -141,29 +130,26 @@ type t
 (** A streaming accumulator; feed events in stream order. *)
 
 val create : ?observer:int -> ?tolerance:float -> unit -> t
-(** With [observer], paths are reconstructed {e online} as that
-    process's [a_deliver] events arrive, so {!segment_means} is cheap
-    enough for monitor probes mid-run. Without it, reconstruction
-    happens at {!finalize} for whichever observer the config picks. *)
+(** All configuration is given here, once. [observer] is the process
+    whose [a_deliver] log anchors reconstruction: with it, paths are
+    reconstructed {e online} as that process's [a_deliver] events
+    arrive, so {!segment_means} is cheap enough for monitor probes
+    mid-run; without it, reconstruction happens at {!finalize} for the
+    process with the longest log (lowest id on ties — the analyzer's
+    default observer). [tolerance] is the |residual| bound (in virtual
+    time) under which a path counts as reconciled (default 1.0 — one
+    simulator tick). *)
 
 val feed : t -> Trace.event -> unit
 (** O(1) per event; [Trace.add_sink tracer (feed acc)] reconstructs a
-    live run in full even when the ring wraps. *)
+    live run in full even when the ring wraps, and
+    [Trace.replay_jsonl_file path [feed acc]] a dump. Pre-correlation-id
+    dumps replay fine; their chains all come out "chain-broken" but
+    landmarks still resolve. *)
 
-val finalize : ?config:config -> t -> report
+val finalize : t -> report
 (** Pure with respect to the accumulator — feeding can continue and
     [finalize] can be called again. *)
-
-val analyze : ?config:config -> Trace.event list -> report
-
-val of_tracer : ?config:config -> Trace.t -> report
-(** Reconstruct from a tracer's retained window ({!Trace.events});
-    [r_truncated] reports whether older events were lost. *)
-
-val of_jsonl_file : ?config:config -> string -> (report, string) result
-(** Replay a JSONL trace dump written by [dagrider_run trace --jsonl]
-    or the swarm checker. Pre-correlation-id dumps parse fine; their
-    chains all come out "chain-broken" but landmarks still resolve. *)
 
 val segment_means : t -> (string * float) list
 (** Live aggregates over paths streamed so far (streaming mode only;

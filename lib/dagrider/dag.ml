@@ -78,34 +78,45 @@ let add t v =
   (try add_impl t v with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
-(* BFS over edges; rounds strictly decrease along edges, so termination
-   is immediate and the frontier stays small. *)
-let reachable_from t start ~via_strong_only =
-  if not (contains t start) then []
-  else begin
-    let visited = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    Hashtbl.add visited start ();
-    Queue.add start queue;
-    let out = ref [] in
-    while not (Queue.is_empty queue) do
-      let vref = Queue.pop queue in
-      out := vref :: !out;
+(* The one BFS over edges: visits [start] (which must be present) and
+   every present vertex reachable from it along strong edges — and weak
+   ones unless [via_strong_only] — whose round is at least [floor],
+   calling [visit] on each in BFS order (strong edges before weak ones)
+   and stopping as soon as [visit] returns true. Rounds strictly
+   decrease along edges, so the frontier stays small. *)
+let bfs t start ~via_strong_only ~floor ~visit =
+  let visited = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let push (e : Vertex.vref) =
+    if e.Vertex.round >= floor && (not (Hashtbl.mem visited e)) && contains t e
+    then begin
+      Hashtbl.add visited e ();
+      Queue.add e queue
+    end
+  in
+  Hashtbl.add visited start ();
+  Queue.add start queue;
+  let stopped = ref false in
+  while (not !stopped) && not (Queue.is_empty queue) do
+    let vref = Queue.pop queue in
+    if visit vref then stopped := true
+    else
       match find t vref with
       | None -> ()
       | Some v ->
-        let targets =
-          if via_strong_only then v.strong_edges
-          else v.strong_edges @ v.weak_edges
-        in
-        List.iter
-          (fun e ->
-            if (not (Hashtbl.mem visited e)) && contains t e then begin
-              Hashtbl.add visited e ();
-              Queue.add e queue
-            end)
-          targets
-    done;
+        List.iter push v.strong_edges;
+        if not via_strong_only then List.iter push v.weak_edges
+  done;
+  !stopped
+
+let reachable_from t start ~via_strong_only =
+  if not (contains t start) then []
+  else begin
+    let out = ref [] in
+    ignore
+      (bfs t start ~via_strong_only ~floor:0 ~visit:(fun v ->
+           out := v :: !out;
+           false));
     !out
   end
 
@@ -116,37 +127,10 @@ let reaches t start target ~via_strong_only =
   else begin
     let sp = Prof.enter "dag.path" in
     let found =
+      (* no point exploring below the target's round *)
       try
-       let visited = Hashtbl.create 64 in
-       let queue = Queue.create () in
-       Hashtbl.add visited start ();
-       Queue.add start queue;
-       let found = ref false in
-       while (not !found) && not (Queue.is_empty queue) do
-         let vref = Queue.pop queue in
-         if vref = target then found := true
-         else
-           match find t vref with
-           | None -> ()
-           | Some v ->
-             let targets =
-               if via_strong_only then v.strong_edges
-               else v.strong_edges @ v.weak_edges
-             in
-             List.iter
-               (fun (e : Vertex.vref) ->
-                 (* no point exploring below the target's round *)
-                 if
-                   e.Vertex.round >= target.Vertex.round
-                   && (not (Hashtbl.mem visited e))
-                   && contains t e
-                 then begin
-                   Hashtbl.add visited e ();
-                   Queue.add e queue
-                 end)
-               targets
-       done;
-       !found
+        bfs t start ~via_strong_only ~floor:target.Vertex.round
+          ~visit:(fun v -> v = target)
       with e -> Prof.leave_reraise sp e
     in
     Prof.leave sp;

@@ -34,9 +34,37 @@ type story = {
   st_commit : commit_cert option;
 }
 
+type rule_evidence = {
+  mutable named : string option; (* rule named by the first certificate *)
+  mutable pinned : int option; (* wave length recovered from leader rounds *)
+}
+
+let rule_evidence () = { named = None; pinned = None }
+
+let note_rule ev ~rule ~wave ~leader_round =
+  if ev.named = None then ev.named <- Some rule;
+  (* leader_round = L*(wave-1) + 1 pins the wave length once wave >= 2 *)
+  if ev.pinned = None && wave >= 2 && (leader_round - 1) mod (wave - 1) = 0
+  then begin
+    let l = (leader_round - 1) / (wave - 1) in
+    if l >= 1 then ev.pinned <- Some l
+  end
+
+let inferred_rule ev =
+  Option.map
+    (fun name ->
+      let rule =
+        match Dagrider.Ordering.rule_of_name name with
+        | Some r -> r
+        | None -> { Dagrider.Ordering.dag_rider with rule_name = name }
+      in
+      match ev.pinned with
+      | Some l -> { rule with Dagrider.Ordering.rule_wave_length = l }
+      | None -> rule)
+    ev.named
+
 type t = {
-  mutable rule : string option;
-  mutable wl : int option; (* wave length recovered from leader rounds *)
+  evidence : rule_evidence;
   stories : (int, (int, story) Hashtbl.t) Hashtbl.t; (* node -> wave -> *)
   cert_count : (int, int ref) Hashtbl.t; (* node -> certificates seen *)
   order : (int, (int * int) list ref) Hashtbl.t; (* node -> rev (r, src) *)
@@ -46,8 +74,7 @@ type t = {
 }
 
 let create () =
-  { rule = None;
-    wl = None;
+  { evidence = rule_evidence ();
     stories = Hashtbl.create 16;
     cert_count = Hashtbl.create 16;
     order = Hashtbl.create 16;
@@ -63,12 +90,7 @@ let node_stories t node =
     tbl
 
 let note_cert t ~node ~rule ~wave ~leader_round =
-  if t.rule = None then t.rule <- Some rule;
-  (* leader_round = L*(wave-1) + 1 pins the wave length once wave >= 2 *)
-  if t.wl = None && wave >= 2 && (leader_round - 1) mod (wave - 1) = 0 then begin
-    let l = (leader_round - 1) / (wave - 1) in
-    if l >= 1 then t.wl <- Some l
-  end;
+  note_rule t.evidence ~rule ~wave ~leader_round;
   match Hashtbl.find_opt t.cert_count node with
   | Some r -> incr r
   | None -> Hashtbl.add t.cert_count node (ref 1)
@@ -138,24 +160,6 @@ let feed t (e : Trace.event) =
     | None -> ())
   | _ -> ()
 
-let of_events events =
-  let t = create () in
-  List.iter (feed t) events;
-  t
-
-let of_jsonl_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> (
-    match Trace.events_of_jsonl text with
-    | Error e -> Error e
-    | Ok events -> Ok (of_events events))
-
 let nodes t =
   Hashtbl.fold (fun node _ acc -> node :: acc) t.cert_count []
   |> List.sort compare
@@ -171,16 +175,15 @@ let observer t =
     t.cert_count None
   |> Option.map fst
 
-let rule_name t = t.rule
+let rule_name t =
+  Option.map
+    (fun r -> r.Dagrider.Ordering.rule_name)
+    (inferred_rule t.evidence)
 
 let wave_length t =
-  match t.wl with
-  | Some _ as l -> l
-  | None ->
-    Option.bind t.rule (fun name ->
-        Option.map
-          (fun r -> r.Dagrider.Ordering.rule_wave_length)
-          (Dagrider.Ordering.rule_of_name name))
+  Option.map
+    (fun r -> r.Dagrider.Ordering.rule_wave_length)
+    (inferred_rule t.evidence)
 
 let stories t ~node =
   match Hashtbl.find_opt t.stories node with
@@ -436,7 +439,7 @@ let summary t ~node =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let sts = stories t ~node in
   add "certificate summary for p%d (%d waves%s):\n" node (List.length sts)
-    (match t.rule with Some r -> ", rule " ^ r | None -> "");
+    (match rule_name t with Some r -> ", rule " ^ r | None -> "");
   List.iter
     (fun st ->
       match (st.st_commit, st.st_skip) with
@@ -554,7 +557,7 @@ let divergence ta ~node_a tb ~node_b =
     match Hashtbl.find_opt t.cert_count node with Some r -> !r | None -> 0
   in
   if certs ta node_a = 0 || certs tb node_b = 0 then No_certificates
-  else if ta.rule = tb.rule then begin
+  else if rule_name ta = rule_name tb then begin
     (* same rule: waves are comparable decision-for-decision *)
     let wa = max_wave ta ~node:node_a and wb = max_wave tb ~node:node_b in
     let n = min wa wb in
@@ -595,7 +598,7 @@ let render_divergence ta ~node_a tb ~node_b =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let side name t node =
     add "%s: p%d, rule %s, %d wave stories, %d ordered vertices\n" name node
-      (match t.rule with Some r -> r | None -> "?")
+      (match rule_name t with Some r -> r | None -> "?")
       (List.length (stories t ~node))
       (match Hashtbl.find_opt t.order node with
       | Some r -> List.length !r

@@ -6,11 +6,12 @@
     justified by a wave leader, a quorum of strong paths, and the
     Algorithm 3 lines-38-43 chain-back — and the certificates carry
     exactly that evidence. This module collects them (live via
-    {!Trace.add_sink}, or replayed from JSONL) into per-node {e wave
-    stories}, renders them for humans ([explain]) and machines (JSON),
-    and diffs two runs' decision streams to the first divergent
-    decision ([divergence]) — the tool PR 6's cross-rule differential
-    harness was missing when all it could say was "logs differ". *)
+    {!Trace.add_sink}, or replayed by {!Trace.replay_jsonl_file}) into
+    per-node {e wave stories}, renders them for humans ([explain]) and
+    machines (JSON), and diffs two runs' decision streams to the first
+    divergent decision ([divergence]) — the tool the cross-rule
+    differential harness was missing when all it could say was "logs
+    differ". *)
 
 type commit_cert = {
   c_node : int;
@@ -56,18 +57,39 @@ type story = {
           was never committed at this node *)
 }
 
+(** {1 The run's rule, read from its certificates} *)
+
+type rule_evidence
+(** What a stream's certificates say about the rule its nodes ordered
+    under. This one inference serves both this collector and
+    {!Analyze}, so neither needs the rule passed in. *)
+
+val rule_evidence : unit -> rule_evidence
+
+val note_rule :
+  rule_evidence -> rule:string -> wave:int -> leader_round:int -> unit
+(** Record one certificate's [rule], [wave] and [leader_round]. *)
+
+val inferred_rule : rule_evidence -> Dagrider.Ordering.rule option
+(** [None] until a certificate is noted. Then the rule the first
+    certificate names (an unknown name keeps DAG-Rider's table entry
+    under that name), with [rule_wave_length] taken from the leader
+    rounds: [leader_round = L(w-1) + 1] pins [L] at the first
+    certificate with [w >= 2], which also recovers a non-default coin
+    wave length; before that, the named rule's own. *)
+
+(** {1 Collection} *)
+
 type t
 
 val create : unit -> t
+(** A fresh collector. It takes no configuration: rule, wave length
+    and observer all come from the certificates it is fed. *)
 
 val feed : t -> Trace.event -> unit
 (** Certificate and [A_deliver] events update the collector; everything
-    else is ignored — safe to register directly as a tracer sink. *)
-
-val of_events : Trace.event list -> t
-
-val of_jsonl_file : string -> (t, string) result
-(** Replay a JSONL trace dump into a fresh collector. *)
+    else is ignored — register it as a live tracer sink, or pass it to
+    {!Trace.replay_jsonl_file} to replay a dump. *)
 
 val nodes : t -> int list
 (** Nodes that emitted at least one certificate, ascending. *)
@@ -80,8 +102,7 @@ val rule_name : t -> string option
 (** Rule named by the certificates (they all agree within one run). *)
 
 val wave_length : t -> int option
-(** Rounds per wave, recovered from the certificates' leader rounds
-    (falling back to the named rule's wave length). *)
+(** Rounds per wave, as {!inferred_rule} recovers it. *)
 
 val stories : t -> node:int -> story list
 (** The node's wave stories, ascending by wave. *)

@@ -123,12 +123,16 @@ type t = {
   crashed : bool array; (* additionally, never started *)
   attack_drivers : Attack.t option array; (* per-process, iff Adversary *)
   latency : Metrics.Latency.t;
-  analyzer : Analyze.t option; (* streaming trace consumer, iff traced *)
-  forensics : Forensics.t option; (* certificate collector, iff traced *)
-  critpath : Critpath.t option; (* causal path collector, iff traced *)
+  collectors : collectors option; (* streaming trace consumers, iff traced *)
   mempools : Workload.Mempool.t array option; (* iff workload-driven *)
   mctx : monitor_ctx option; (* iff a monitor is attached *)
   mutable started : bool;
+}
+
+and collectors = {
+  analyzer : Analyze.t;
+  forensics : Forensics.t;
+  critpath : Critpath.t;
 }
 
 and monitor_ctx = {
@@ -285,47 +289,44 @@ let build options =
     Sim.Engine.set_sampler engine ~interval:1.0
       (fun ~time:_ ~executed ~pending ->
         Trace.emit tr (Trace.Engine_sample { executed; pending })));
-  (* a traced run also streams into the protocol analyzer, so
-     [analysis_report] covers the whole run even when the ring wraps;
-     the sink only reads events — it cannot perturb the schedule *)
-  let analyzer =
-    match options.trace with
-    | None -> None
-    | Some tr ->
-      let acc = Analyze.create () in
-      Trace.add_sink tr (Analyze.feed acc);
-      Some acc
-  in
-  (* ...and into the forensics collector, which keeps every provenance
-     certificate for explain / divergence / oracle re-validation *)
-  let forensics =
-    match options.trace with
-    | None -> None
-    | Some tr ->
-      let fx = Forensics.create () in
-      Trace.add_sink tr (Forensics.feed fx);
-      Some fx
-  in
   (* the vantage point for observer-anchored collectors: the lowest
      process no declared fault touches (mid-run silencing can still
      corrupt it — acceptable, same caveat as the monitor's observer) *)
+  let declared = List.map fault_index options.faults in
   let vantage =
-    let declared = List.map fault_index options.faults in
     let rec first i =
       if i >= n then 0 else if List.mem i declared then first (i + 1) else i
     in
     first 0
   in
-  (* ...and into the critical-path collector, streaming at the vantage
-     process so per-commit causal chains exist the moment each
-     a_deliver fires — segment gauges stay O(1) to read mid-run *)
-  let critpath =
-    match options.trace with
-    | None -> None
-    | Some tr ->
-      let cp = Critpath.create ~observer:vantage () in
-      Trace.add_sink tr (Critpath.feed cp);
-      Some cp
+  (* a traced run also streams into its trace consumers, so their
+     reports cover the whole run even when the ring wraps; sinks only
+     read events — they cannot perturb the schedule. The analyzer and
+     the critical-path collector both observe from the vantage process;
+     the latter streams, so per-commit causal chains exist the moment
+     each a_deliver fires and segment gauges stay O(1) to read mid-run.
+     The forensics collector keeps every provenance certificate for
+     explain / divergence / oracle re-validation. *)
+  let collectors =
+    Option.map
+      (fun tr ->
+        let c =
+          { analyzer =
+              Analyze.create
+                ~config:
+                  { Analyze.default_config with
+                    f = Some options.f;
+                    byzantine = List.sort_uniq compare declared;
+                    observer = Some vantage }
+                ();
+            forensics = Forensics.create ();
+            critpath = Critpath.create ~observer:vantage () }
+        in
+        Trace.add_sink tr (Analyze.feed c.analyzer);
+        Trace.add_sink tr (Forensics.feed c.forensics);
+        Trace.add_sink tr (Critpath.feed c.critpath);
+        c)
+      options.trace
   in
   (* One transport stack per protocol; same engine/schedule/counters, so
      semantically a single multiplexed network. Direct mode builds the
@@ -715,9 +716,9 @@ let build options =
         (fun () -> float_of_int (sum Workload.Mempool.rejected)));
     (* critical-path SLO series: the live segment means the streaming
        collector maintains — where each committed vertex's latency went *)
-    (match critpath with
+    (match collectors with
     | None -> ()
-    | Some cp ->
+    | Some { critpath = cp; _ } ->
       List.iter
         (fun (name, kind) ->
           Monitor.add_probe mon ~name ~kind (fun () ->
@@ -758,9 +759,7 @@ let build options =
     crashed;
     attack_drivers;
     latency;
-    analyzer;
-    forensics;
-    critpath;
+    collectors;
     mempools;
     mctx;
     started = false }
@@ -1017,12 +1016,12 @@ let metrics_snapshot t =
       (float_of_int (Trace.capacity tr));
     Metrics.Registry.set_gauge reg "trace.occupancy"
       (float_of_int (Trace.occupancy tr)));
-  (match t.critpath with
+  (match t.collectors with
   | None -> ()
-  | Some cp ->
+  | Some c ->
     List.iter
       (fun (name, v) -> Metrics.Registry.set_gauge reg name v)
-      (Critpath.segment_means cp));
+      (Critpath.segment_means c.critpath));
   let gcs = Gc.quick_stat () in
   Metrics.Registry.set_gauge reg "gc.minor_collections"
     (float_of_int gcs.Gc.minor_collections);
@@ -1046,39 +1045,17 @@ let metrics_snapshot t =
       (Prof.rows prof));
   Metrics.Registry.snapshot reg
 
-let analysis_config t =
-  let byzantine =
-    List.filter (fun i -> t.faulty.(i)) (List.init t.options.n (fun i -> i))
-  in
-  let observer =
-    match correct_indices t with i :: _ -> Some i | [] -> Some 0
-  in
-  let rule = effective_rule t.options in
-  { Analyze.default_config with
-    wave_length = rule.Dagrider.Ordering.rule_wave_length;
-    rule_name = rule.Dagrider.Ordering.rule_name;
-    round_robin_n =
-      (match rule.Dagrider.Ordering.rule_schedule with
-      | Dagrider.Ordering.Coin -> None
-      | Dagrider.Ordering.Round_robin -> Some t.options.n);
-    waves_bound = rule.Dagrider.Ordering.rule_bound;
-    f = Some t.options.f;
-    byzantine;
-    observer }
+let collectors t = t.collectors
 
-let analysis t =
-  match t.analyzer with
-  | None -> None
-  | Some acc -> Some (Analyze.finalize ~config:(analysis_config t) acc)
+let analysis t = Option.map (fun c -> Analyze.finalize c.analyzer) t.collectors
 
 let analysis_report t = Option.map Analyze.report_to_json (analysis t)
 
-let forensics t = t.forensics
+let forensics t = Option.map (fun c -> c.forensics) t.collectors
 
-let critpath t = t.critpath
+let critpath t = Option.map (fun c -> c.critpath) t.collectors
 
-let critpath_report t =
-  Option.map (fun cp -> Critpath.finalize cp) t.critpath
+let critpath_report t = Option.map Critpath.finalize (critpath t)
 
 type attack_report = {
   ar_node : int;

@@ -263,36 +263,46 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     retained window is a suffix of the run) and the live critical-path
     segment aggregates ([critpath.*], see {!Critpath.segment_means}). *)
 
+type collectors = {
+  analyzer : Analyze.t;
+  forensics : Forensics.t;
+  critpath : Critpath.t;
+}
+(** The trace consumers a traced run streams into, in sink order. *)
+
+val collectors : t -> collectors option
+(** [Some] iff the run was built with a tracer. Each consumer is fed
+    live through a {!Trace.add_sink} hook, so it sees the {e whole}
+    event stream even when the tracer's ring buffer wrapped. The
+    analyzer is created with the run's [f], the declared-faulty
+    processes as the Byzantine set and the vantage process (the lowest
+    process no declared fault touches) as observer; it reads the rule
+    from the stream's certificates like any replay does. A process
+    silenced mid-run by {!silence_node} stays outside that Byzantine
+    set — its vertices were honest while it ran. Untraced runs return
+    [None] and pay nothing. *)
+
 val analysis : t -> Analyze.report option
-(** The protocol analyzer's view of this run: [Some] iff the run was
-    built with a tracer. The analyzer is fed live through a
-    {!Trace.add_sink} hook, so it sees the {e whole} event stream even
-    when the tracer's ring buffer wrapped. Configured from the run's
-    options (wave length, f) with the currently-faulty processes as the
-    Byzantine set and the lowest correct process as observer; callable
-    mid-run for progress snapshots. Untraced runs return [None] and pay
-    nothing. *)
+(** {!Analyze.finalize} on the run's analyzer ([None] untraced);
+    callable mid-run for progress snapshots. *)
 
 val analysis_report : t -> Stdx.Json.t option
 (** {!analysis} serialized via {!Analyze.report_to_json}. *)
 
 val critpath : t -> Critpath.t option
-(** The run's streaming critical-path collector: [Some] iff the run was
-    built with a tracer. Fed live through {!Trace.add_sink} with the
-    vantage process (lowest process no declared fault touches) as its
-    streaming observer, so per-commit causal paths are reconstructed
-    online — {!Critpath.segment_means} is cheap at any point mid-run. *)
+(** The run's streaming critical-path collector ([None] untraced), with
+    the vantage process as its streaming observer, so per-commit causal
+    paths are reconstructed online — {!Critpath.segment_means} is cheap
+    at any point mid-run. *)
 
 val critpath_report : t -> Critpath.report option
 (** {!Critpath.finalize} on the collector ([None] untraced). *)
 
 val forensics : t -> Forensics.t option
-(** The run's provenance-certificate collector: [Some] iff the run was
-    built with a tracer (fed live through {!Trace.add_sink}, like the
-    analyzer, so it holds every certificate even past ring wrap). This
-    is what [explain]/[divergence] read and what the swarm oracle
-    re-validates via {!Check} — untraced runs return [None] and pay
-    nothing. *)
+(** The run's provenance-certificate collector ([None] untraced); it
+    holds every certificate even past ring wrap. This is what
+    [explain]/[divergence] read and what the swarm oracle re-validates
+    via {!Check}. *)
 
 type attack_report = {
   ar_node : int;

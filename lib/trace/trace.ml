@@ -605,6 +605,14 @@ let events_of_jsonl text =
   in
   go [] 1 lines
 
+let replay_jsonl_file path sinks =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text ->
+    Result.map
+      (List.iter (fun e -> List.iter (fun sink -> sink e) sinks))
+      (events_of_jsonl text)
+
 (* ---- ASCII timeline ---- *)
 
 let render_events ?(max_lanes = 16) events =

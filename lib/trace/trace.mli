@@ -271,6 +271,15 @@ val to_jsonl : t -> string
 val events_of_jsonl : string -> (event list, string) result
 (** Parse a JSONL dump (blank lines ignored); error names the line. *)
 
+val replay_jsonl_file : string -> (event -> unit) list -> (unit, string) result
+(** [replay_jsonl_file path sinks] is the one replay path for trace
+    consumers: it reads the JSONL dump at [path] (written by
+    [dagrider_run trace --jsonl] or the swarm checker) once and feeds
+    every event, oldest first, to each sink in list order — exactly as
+    a live tracer's {!add_sink} hooks would have seen them. Nothing is
+    fed when the file cannot be read ([Sys_error] message) or a line
+    fails to parse (error names the line). *)
+
 val render_events : ?max_lanes:int -> event list -> string
 (** ASCII timeline: one row per event with its virtual time, sequence
     number, a lane column marking the process involved ([max_lanes]

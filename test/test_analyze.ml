@@ -13,7 +13,8 @@ let checkf = Alcotest.(check (float 1e-9))
 
 let build_traced ?(n = 4) ?(seed = 42) ?(until = 40.0) ?(block_bytes = 32)
     ?gc_depth ?(capacity = 4096) ?(schedule = Harness.Runner.Uniform_random)
-    ?(faults = []) () =
+    ?(rule = Dagrider.Ordering.dag_rider) ?(wave_length = 4) ?(faults = []) ()
+    =
   let tracer = Trace.create ~capacity () in
   let fleet =
     Harness.Runner.build
@@ -22,6 +23,8 @@ let build_traced ?(n = 4) ?(seed = 42) ?(until = 40.0) ?(block_bytes = 32)
         schedule;
         block_bytes;
         gc_depth;
+        rule;
+        wave_length;
         faults;
         trace = Some tracer }
   in
@@ -98,12 +101,18 @@ let test_honest_run_no_anomalies () =
   let r = Option.get (Harness.Runner.analysis fleet) in
   checki "clean honest run" 0 (List.length r.Analyze.r_anomalies)
 
-(* ---- replay: JSONL round trip and of_tracer agree ---- *)
+(* ---- replay: a JSONL dump analyses exactly like the live run ---- *)
 
-let test_jsonl_replay_matches_live () =
-  let _, tracer = build_traced ~capacity:65536 ~until:40.0 () in
+(* the replay has no configuration to lean on: rule, wave length, bound
+   and round-robin n must all come out of the stream as the runner's
+   live analyzer saw it, and both must match the run's real rule *)
+let check_replay_matches_live ?rule ?wave_length ?(faults = []) () =
+  let n = 4 in
+  let fleet, tracer =
+    build_traced ~n ~capacity:65536 ~until:60.0 ?rule ?wave_length ~faults ()
+  in
   checki "nothing dropped at this capacity" 0 (Trace.dropped tracer);
-  let live = Analyze.of_tracer tracer in
+  let live = Option.get (Harness.Runner.analysis fleet) in
   let path = Filename.temp_file "analyze" ".trace.jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -111,22 +120,66 @@ let test_jsonl_replay_matches_live () =
       let oc = open_out path in
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
-      match Analyze.of_jsonl_file path with
+      let acc = Analyze.create () in
+      (match Trace.replay_jsonl_file path [ Analyze.feed acc ] with
       | Error e -> Alcotest.fail e
-      | Ok replayed ->
-        checki "events" live.Analyze.r_events replayed.Analyze.r_events;
-        checki "ordered" live.Analyze.r_ordered replayed.Analyze.r_ordered;
-        checki "waves resolved" live.Analyze.r_waves_resolved
-          replayed.Analyze.r_waves_resolved;
-        checkf "waves per commit" live.Analyze.r_waves_per_commit
-          replayed.Analyze.r_waves_per_commit;
-        checki "anomaly count"
-          (List.length live.Analyze.r_anomalies)
-          (List.length replayed.Analyze.r_anomalies))
+      | Ok () -> ());
+      let replayed = Analyze.finalize acc in
+      let truth =
+        Harness.Runner.effective_rule (Harness.Runner.options fleet)
+      in
+      List.iter
+        (fun (what, (r : Analyze.report)) ->
+          Alcotest.(check string)
+            (what ^ " rule") truth.Dagrider.Ordering.rule_name r.Analyze.r_rule;
+          checki (what ^ " wave length")
+            truth.Dagrider.Ordering.rule_wave_length r.Analyze.r_wave_length;
+          checkf (what ^ " waves bound") truth.Dagrider.Ordering.rule_bound
+            r.Analyze.r_waves_bound;
+          checki (what ^ " processes, crashed ones included") n
+            r.Analyze.r_processes;
+          checkb (what ^ " something committed") true
+            (r.Analyze.r_commits_direct > 0);
+          if truth.Dagrider.Ordering.rule_schedule = Dagrider.Ordering.Round_robin
+          then
+            List.iter
+              (fun w ->
+                checkb
+                  (Printf.sprintf "%s wave %d round-robin leader" what
+                     w.Analyze.w_wave)
+                  true
+                  (w.Analyze.w_leader = Some ((w.Analyze.w_wave - 1) mod n)))
+              r.Analyze.r_waves)
+        [ ("live", live); ("replay", replayed) ];
+      checki "events" live.Analyze.r_events replayed.Analyze.r_events;
+      checki "ordered" live.Analyze.r_ordered replayed.Analyze.r_ordered;
+      checki "waves resolved" live.Analyze.r_waves_resolved
+        replayed.Analyze.r_waves_resolved;
+      checkf "waves per commit" live.Analyze.r_waves_per_commit
+        replayed.Analyze.r_waves_per_commit;
+      checki "anomaly count"
+        (List.length live.Analyze.r_anomalies)
+        (List.length replayed.Analyze.r_anomalies);
+      checkb "same wave records" true
+        (live.Analyze.r_waves = replayed.Analyze.r_waves);
+      Alcotest.(check string)
+        "same rendering" (Analyze.render live) (Analyze.render replayed))
+
+let test_jsonl_replay_matches_live () =
+  check_replay_matches_live ();
+  check_replay_matches_live ~rule:Dagrider.Ordering.bullshark ();
+  check_replay_matches_live ~rule:Dagrider.Ordering.bullshark
+    ~faults:[ Harness.Runner.Crash 3 ] ();
+  (* one of the non-default wave lengths Experiments.ablation_wave_length
+     sweeps *)
+  check_replay_matches_live ~wave_length:3 ()
 
 let test_jsonl_missing_file () =
-  match Analyze.of_jsonl_file "/nonexistent/definitely-not-here.jsonl" with
-  | Ok _ -> Alcotest.fail "expected an error"
+  match
+    Trace.replay_jsonl_file "/nonexistent/definitely-not-here.jsonl"
+      [ Analyze.feed (Analyze.create ()) ]
+  with
+  | Ok () -> Alcotest.fail "expected an error"
   | Error _ -> ()
 
 let test_report_json_parses () =

@@ -34,6 +34,11 @@ let build_traced ?(n = 4) ?(seed = 42) ?(until = 60.0) ?(capacity = 4096)
   Harness.Runner.run fleet ~until;
   (fleet, tracer)
 
+(* feed a whole event list to a fresh consumer *)
+let fed acc feed events =
+  List.iter (feed acc) events;
+  acc
+
 let report_of fleet =
   match Harness.Runner.critpath_report fleet with
   | Some r -> r
@@ -175,18 +180,21 @@ let test_pre_id_trace_replays () =
       | _ -> ())
     events;
   (* the analyzer and forensics run unchanged on the old format... *)
-  let ar = Analyze.analyze events in
-  let ar_fresh = Analyze.analyze (Trace.events tracer) in
+  let ar = Analyze.finalize (fed (Analyze.create ()) Analyze.feed events) in
+  let ar_fresh =
+    Analyze.finalize
+      (fed (Analyze.create ()) Analyze.feed (Trace.events tracer))
+  in
   checki "analyzer orders the same log" ar_fresh.Analyze.r_ordered
     ar.Analyze.r_ordered;
   checki "analyzer resolves the same waves" ar_fresh.Analyze.r_waves_resolved
     ar.Analyze.r_waves_resolved;
-  let fx = Forensics.of_events events in
+  let fx = fed (Forensics.create ()) Forensics.feed events in
   checkb "forensics still builds stories" true (Forensics.nodes fx <> []);
   (* ...and the critical-path tracer degrades gracefully: landmarks
      resolve (so per-commit dag/order segments exist) but no causal
      chain can be walked without ids *)
-  let r = Critpath.analyze events in
+  let r = Critpath.finalize (fed (Critpath.create ()) Critpath.feed events) in
   checkb "commits still reconstructed" true (r.Critpath.r_paths <> []);
   checki "no chain is complete without ids" 0 r.Critpath.r_complete;
   checkb "incomplete reasons reported" true (r.Critpath.r_incomplete <> [])
@@ -273,17 +281,14 @@ let test_replay_matches_live () =
       let oc = open_out file in
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
-      let replay =
-        match
-          Critpath.of_jsonl_file
-            ~config:
-              { Critpath.default_config with
-                observer = Some live.Critpath.r_observer }
-            file
-        with
-        | Ok r -> r
-        | Error msg -> Alcotest.fail msg
-      in
+      (* no observer given: the replay picks the longest log and
+         rebuilds every path at finalize, the live collector streamed
+         them at its vantage process *)
+      let acc = Critpath.create () in
+      (match Trace.replay_jsonl_file file [ Critpath.feed acc ] with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg);
+      let replay = Critpath.finalize acc in
       checki "same observer" live.Critpath.r_observer replay.Critpath.r_observer;
       checki "same commit count"
         (List.length live.Critpath.r_paths)

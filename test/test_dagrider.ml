@@ -289,31 +289,49 @@ let test_dag_prune () =
   (* reachability stops at the pruned frontier instead of crashing *)
   checkb "path query safe" false (Dagrider.Dag.path dag (vref 4 0) (vref 1 1))
 
+(* random partial rounds, each vertex points to 3 random vertices of the
+   previous round when available. With [weak], strong edges go to the
+   previous round's three lowest sources instead, so a fourth vertex is
+   left behind, and half the vertices add a weak edge to one such
+   left-behind vertex two or more rounds back — the only vertices a weak
+   edge makes reachable. *)
+let random_dag ?(weak = false) rng =
+  let n = 4 in
+  let dag = Dagrider.Dag.create ~n in
+  let left_behind = ref [] in
+  for round = 1 to 5 do
+    let prev = Dagrider.Dag.round_vertices dag (round - 1) in
+    if List.length prev >= 3 then begin
+      let older = !left_behind in
+      for source = 0 to n - 1 do
+        if Stdx.Rng.bool rng || round = 1 then begin
+          let prev_arr = Array.of_list prev in
+          if not weak then Stdx.Rng.shuffle rng prev_arr;
+          let strong =
+            Array.to_list (Array.sub prev_arr 0 3)
+            |> List.map Dagrider.Vertex.vref_of
+          in
+          let weak_edges =
+            if weak && older <> [] && Stdx.Rng.bool rng then
+              [ List.nth older (Stdx.Rng.int rng (List.length older)) ]
+            else []
+          in
+          Dagrider.Dag.add dag
+            { Dagrider.Vertex.round; source; block = "";
+              strong_edges = strong; weak_edges }
+        end
+      done;
+      left_behind :=
+        List.map Dagrider.Vertex.vref_of (List.filteri (fun i _ -> i >= 3) prev)
+        @ !left_behind
+    end
+  done;
+  dag
+
 let prop_dag_path_strong_implies_path =
   QCheck.Test.make ~name:"strong_path implies path" ~count:50
     (QCheck.int_range 0 10_000) (fun seed ->
-      let rng = Stdx.Rng.create seed in
-      let n = 4 in
-      let dag = Dagrider.Dag.create ~n in
-      (* random partial rounds, each vertex points to 3 random vertices
-         of the previous round when available *)
-      for round = 1 to 5 do
-        let prev = Dagrider.Dag.round_vertices dag (round - 1) in
-        if List.length prev >= 3 then
-          for source = 0 to n - 1 do
-            if Stdx.Rng.bool rng || round = 1 then begin
-              let prev_arr = Array.of_list prev in
-              Stdx.Rng.shuffle rng prev_arr;
-              let strong =
-                Array.to_list (Array.sub prev_arr 0 3)
-                |> List.map Dagrider.Vertex.vref_of
-              in
-              Dagrider.Dag.add dag
-                { Dagrider.Vertex.round; source; block = "";
-                  strong_edges = strong; weak_edges = [] }
-            end
-          done
-      done;
+      let dag = random_dag (Stdx.Rng.create seed) in
       let vs = Dagrider.Dag.vertices dag in
       List.for_all
         (fun v ->
@@ -324,6 +342,31 @@ let prop_dag_path_strong_implies_path =
               (not (Dagrider.Dag.strong_path dag a b)) || Dagrider.Dag.path dag a b)
             vs)
         vs)
+
+(* the early-exit path query and the full traversal are one BFS: they
+   must agree on every pair, over strong edges alone and over both *)
+let prop_dag_reaches_matches_reachable_from =
+  QCheck.Test.make ~name:"path queries agree with reachable_from" ~count:50
+    (QCheck.int_range 0 10_000) (fun seed ->
+      let dag = random_dag ~weak:true (Stdx.Rng.create seed) in
+      let refs =
+        List.concat_map
+          (fun r ->
+            List.map Dagrider.Vertex.vref_of (Dagrider.Dag.round_vertices dag r))
+          (List.init (Dagrider.Dag.highest_round dag + 1) Fun.id)
+      in
+      List.for_all
+        (fun (via_strong_only, reaches) ->
+          List.for_all
+            (fun a ->
+              let reachable =
+                Dagrider.Dag.reachable_from dag a ~via_strong_only
+              in
+              List.for_all
+                (fun b -> reaches dag a b = List.mem b reachable)
+                refs)
+            refs)
+        [ (true, Dagrider.Dag.strong_path); (false, Dagrider.Dag.path) ])
 
 let prop_dag_causal_history_closed =
   QCheck.Test.make ~name:"causal history is edge-closed" ~count:50
@@ -506,6 +549,7 @@ let () =
           Alcotest.test_case "vertices listing" `Quick test_dag_vertices_listing;
           Alcotest.test_case "prune" `Quick test_dag_prune;
           QCheck_alcotest.to_alcotest prop_dag_path_strong_implies_path;
+          QCheck_alcotest.to_alcotest prop_dag_reaches_matches_reachable_from;
           QCheck_alcotest.to_alcotest prop_dag_causal_history_closed ] );
       ( "snapshot",
         [ Alcotest.test_case "roundtrip full" `Quick test_snapshot_roundtrip_full;

@@ -52,11 +52,10 @@ let test_jsonl_roundtrip () =
       let oc = open_out path in
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
-      let replayed =
-        match Forensics.of_jsonl_file path with
-        | Ok fx -> fx
-        | Error e -> Alcotest.fail ("replay failed: " ^ e)
-      in
+      let replayed = Forensics.create () in
+      (match Trace.replay_jsonl_file path [ Forensics.feed replayed ] with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail ("replay failed: " ^ e));
       checki "ring did not wrap" 0 (Trace.dropped tracer);
       checkb "same node set" true
         (Forensics.nodes live = Forensics.nodes replayed);
@@ -253,7 +252,8 @@ let test_oracle_rejects_forgery () =
               quorum = 3;
               delivered = 1 } }
   in
-  let fx' = Forensics.of_events [ forged ] in
+  let fx' = Forensics.create () in
+  Forensics.feed fx' forged;
   let violations =
     Check.Oracle.check_certificates ~rule:Dagrider.Ordering.dag_rider
       ~f:(Harness.Runner.options fleet).Harness.Runner.f ~forensics:fx'
@@ -275,8 +275,8 @@ let test_divergence_sabotage_seed () =
   let sc =
     Check.Scenario.generate ~sabotage:true ~quick:true ~seed:293 ()
   in
-  let tracer = Check.Swarm.trace_scenario sc in
-  let fx = Forensics.of_events (Trace.events tracer) in
+  let _, collectors = Check.Swarm.trace_scenario sc in
+  let fx = collectors.Harness.Runner.forensics in
   (match Forensics.divergence fx ~node_a:1 fx ~node_b:2 with
   | Forensics.Diverged_wave { wave; a; b } ->
     checki "diverges at wave 1" 1 wave;
@@ -297,10 +297,8 @@ let test_divergence_sabotage_seed () =
 (* ---- divergence: same rule, identical honest runs ---- *)
 
 let test_divergence_identical_and_cross_rule () =
-  let _, tr_a = build_traced ~until:60.0 () in
-  let _, tr_b = build_traced ~until:60.0 () in
-  let fa = Forensics.of_events (Trace.events tr_a) in
-  let fb = Forensics.of_events (Trace.events tr_b) in
+  let fa = forensics_of (fst (build_traced ~until:60.0 ())) in
+  let fb = forensics_of (fst (build_traced ~until:60.0 ())) in
   let na = Option.get (Forensics.observer fa) in
   let nb = Option.get (Forensics.observer fb) in
   (match Forensics.divergence fa ~node_a:na fb ~node_b:nb with
@@ -308,10 +306,10 @@ let test_divergence_identical_and_cross_rule () =
   | _ -> Alcotest.fail "identical runs must not diverge");
   (* cross-rule on one schedule: both rules order the same vertices but
      in different positions — compared by delivery log *)
-  let _, tr_c =
-    build_traced ~until:60.0 ~rule:Dagrider.Ordering.bullshark ()
+  let fc =
+    forensics_of
+      (fst (build_traced ~until:60.0 ~rule:Dagrider.Ordering.bullshark ()))
   in
-  let fc = Forensics.of_events (Trace.events tr_c) in
   let nc = Option.get (Forensics.observer fc) in
   match Forensics.divergence fa ~node_a:na fc ~node_b:nc with
   | Forensics.Diverged_entry { a_commit; b_commit; _ } ->
