@@ -18,7 +18,9 @@
                                                -- hermetic gate check: an
                                                   unmodified rerun passes
                                                   and an injected 2x
-                                                  slowdown fails
+                                                  slowdown, count drop
+                                                  and count rise each
+                                                  fail
 
    Add "--json [FILE]" to any experiment invocation to also serialize
    the table(s) — rows, notes, and the runs' metrics snapshots
@@ -250,14 +252,15 @@ module Regress = struct
   let default_time_threshold = 0.5
 
   (* relative headroom per kind: wall time is noisy, allocation nearly
-     deterministic, logical counts exactly reproducible with the seed *)
+     deterministic. Counts get none: they are exactly reproducible with
+     the seed, so [diff] gates them on any change in either direction *)
   let threshold ~time_threshold = function
     | Time -> time_threshold
     | Alloc -> 0.10
-    | Count -> 0.02
+    | Count -> 0.0
 
   (* absolute slack floors so microscopic metrics don't gate on noise *)
-  let slack = function Time -> 0.005 | Alloc -> 65536.0 | Count -> 1.0
+  let slack = function Time -> 0.005 | Alloc -> 65536.0 | Count -> 0.0
 
   (* -- scenarios: each run returns (metric, kind, value) rows -- *)
 
@@ -575,10 +578,12 @@ module Regress = struct
     v_regressed : bool;
   }
 
-  (* [inject] multiplies fresh Time medians before the comparison — the
-     self-test's artificial slowdown, applied after measurement so the
-     check is deterministic and costs nothing *)
-  let diff ?(inject = 1.0) ~time_threshold ~base ~fresh () =
+  (* [inject] multiplies fresh Time medians and [count_shift] is added to
+     fresh Count medians before the comparison — the self-test's
+     artificial slowdown and count drift, applied after measurement so
+     the check is deterministic and costs nothing *)
+  let diff ?(inject = 1.0) ?(count_shift = 0.0) ~time_threshold ~base ~fresh
+      () =
     let scale_time =
       if base.r_calibration > 0.0 then
         fresh.r_calibration /. base.r_calibration
@@ -608,7 +613,8 @@ module Regress = struct
               let measured =
                 match bm.m_kind with
                 | Time -> fm.m_median *. inject
-                | _ -> fm.m_median
+                | Count -> fm.m_median +. count_shift
+                | Alloc -> fm.m_median
               in
               let thr = threshold ~time_threshold bm.m_kind in
               let allowed =
@@ -621,7 +627,10 @@ module Regress = struct
                 v_base = bm.m_median;
                 v_fresh = measured;
                 v_allowed = allowed;
-                v_regressed = measured > allowed })
+                v_regressed =
+                  (match bm.m_kind with
+                  | Count -> measured <> bm.m_median
+                  | Time | Alloc -> measured > allowed) })
           metrics)
       base.r_scenarios
 
@@ -743,9 +752,21 @@ let run_diff args =
       Regress.render_verdicts slowed;
       exit 1
     end;
+    let counts_flagged count_shift =
+      List.for_all
+        (fun v -> v.Regress.v_kind <> Regress.Count || v.Regress.v_regressed)
+        (Regress.diff ~count_shift ~time_threshold:!time_threshold ~base ~fresh
+           ())
+    in
+    if not (counts_flagged (-1.0) && counts_flagged 1.0) then begin
+      print_endline
+        "self-test FAILED: an injected count drop or rise was not detected";
+      exit 1
+    end;
     Printf.printf
       "self-test OK: unmodified rerun passes (%d metrics), injected 2x \
-       slowdown detected (%d time regressions)\n"
+       slowdown detected (%d time regressions), count drop and rise \
+       flagged on every count metric\n"
       (List.length clean)
       (List.length
          (List.filter (fun v -> v.Regress.v_regressed) slowed))

@@ -80,9 +80,9 @@ let attack_arg =
     & info [ "attack" ] ~docv:"STRATEGY"
         ~doc:
           "Force a programmable Byzantine adversary into every scenario: \
-           $(b,equivocate), $(b,withhold), $(b,grind), $(b,bias) or \
-           $(b,lying-sync). The forced adversary replaces the seed's \
-           sampled static faults (restarts are kept, and a forced \
+           $(b,equivocate), $(b,withhold), $(b,grind), $(b,bias), \
+           $(b,lying-sync) or $(b,malformed). The forced adversary \
+           replaces the seed's sampled static faults (restarts are kept, and a forced \
            lying-sync run gains one if the seed sampled none); its \
            victims are drawn from the run's own seeded stream. Sampled \
            scenarios already include adversaries without this flag — use \

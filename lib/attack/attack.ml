@@ -1,6 +1,6 @@
-type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync
+type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync | Malformed
 
-let all_strategies = [ Equivocate; Withhold; Grind; Bias; Lying_sync ]
+let all_strategies = [ Equivocate; Withhold; Grind; Bias; Lying_sync; Malformed ]
 
 let strategy_label = function
   | Equivocate -> "equivocate"
@@ -8,6 +8,7 @@ let strategy_label = function
   | Grind -> "grind"
   | Bias -> "bias"
   | Lying_sync -> "lying-sync"
+  | Malformed -> "malformed"
 
 let strategy_of_string = function
   | "equivocate" -> Some Equivocate
@@ -15,6 +16,7 @@ let strategy_of_string = function
   | "grind" -> Some Grind
   | "bias" -> Some Bias
   | "lying-sync" -> Some Lying_sync
+  | "malformed" -> Some Malformed
   | _ -> None
 
 type spec = { strategy : strategy; victims : int list }
@@ -125,20 +127,22 @@ let split_frame ~me payload =
       Some (String.sub payload 0 (len - 13), String.sub payload (len - 13) 13)
     else None
 
+(* the attacker's own vertex and its frame suffix *)
+let decode_own t ~payload ~round =
+  let me = t.arsenal.ars_me in
+  Option.bind (split_frame ~me payload) (fun (vertex_bytes, suffix) ->
+      Option.map
+        (fun v -> (v, suffix))
+        (Dagrider.Vertex.decode ~round ~source:me vertex_bytes))
+
 let variant t ~payload ~round ~tag =
-  match split_frame ~me:t.arsenal.ars_me payload with
-  | None -> None
-  | Some (vertex_bytes, suffix) -> (
-    match
-      Dagrider.Vertex.decode ~round ~source:t.arsenal.ars_me vertex_bytes
-    with
-    | None -> None
-    | Some v ->
+  Option.map
+    (fun (v, suffix) ->
       let forked = { v with Dagrider.Vertex.block = v.Dagrider.Vertex.block ^ tag } in
-      Some
-        ( Dagrider.Vertex.encode forked ^ suffix,
-          Dagrider.Vertex.digest v,
-          Dagrider.Vertex.digest forked ))
+      ( Dagrider.Vertex.encode forked ^ suffix,
+        Dagrider.Vertex.digest v,
+        Dagrider.Vertex.digest forked ))
+    (decode_own t ~payload ~round)
 
 let others t =
   List.filter (fun i -> i <> t.arsenal.ars_me) (List.init t.arsenal.ars_n (fun i -> i))
@@ -246,6 +250,34 @@ let do_bias t ~payload ~round =
   end
   else t.arsenal.ars_bcast ~round ~payload
 
+(* one malformed variant per own round, by (round - 1) mod 3, so each
+   kind gets its own RBC instance and reaches the receivers' decode and
+   Vertex.validate. The out-of-range kind keeps every (>= 2f+1) edge, so
+   it trips the range check and not the count check; the frame suffix
+   is kept, so In_dag payloads still unwrap *)
+let do_malformed t ~payload ~round =
+  match decode_own t ~payload ~round with
+  | None -> t.arsenal.ars_bcast ~round ~payload
+  | Some (v, suffix) ->
+    let with_edges f =
+      Dagrider.Vertex.encode
+        { v with strong_edges = f v.Dagrider.Vertex.strong_edges }
+    in
+    let shift (e : Dagrider.Vertex.vref) =
+      { e with source = e.source + t.arsenal.ars_n }
+    in
+    let bytes, info =
+      match (round - 1) mod 3 with
+      | 0 ->
+        (* a leading 0xff claims a block longer than the payload *)
+        ( "\xff" ^ String.init 39 (fun _ -> Char.chr (Stdx.Rng.int t.rng 256)),
+          "undecodable bytes" )
+      | 1 -> (with_edges (fun es -> [ List.hd es ]), "one strong edge")
+      | _ -> (with_edges (List.map shift), "strong-edge sources out of range")
+    in
+    note t ~round ~info;
+    t.arsenal.ars_bcast ~round ~payload:(bytes ^ suffix)
+
 let on_own_vertex t ~payload ~round =
   match t.spec.strategy with
   | Equivocate -> do_equivocate t ~payload ~round
@@ -253,6 +285,7 @@ let on_own_vertex t ~payload ~round =
   | Grind -> do_grind t ~payload ~round
   | Bias -> do_bias t ~payload ~round
   | Lying_sync -> t.arsenal.ars_bcast ~round ~payload
+  | Malformed -> do_malformed t ~payload ~round
 
 (* ---- the lying catch-up peer ---- *)
 

@@ -27,6 +27,13 @@
       garbage payloads, out-of-range envelopes) to restarting nodes;
       {!lies} records every forgery so an oracle can prove none was
       admitted.
+    - {b Malformed}: replace every own-round vertex with something
+      Algorithm 2 must refuse, rotating by [(round - 1) mod 3]:
+      undecodable bytes, the honest vertex cut to one strong edge, or
+      the honest vertex with every strong-edge source moved out of
+      range. Each lands in its own reliable-broadcast instance, so
+      every kind reaches the receivers' decode and {!Dagrider.Vertex.validate};
+      none may ever enter a correct DAG.
 
     The driver is deliberately decoupled from the harness: it acts only
     through an {!arsenal} of backend capabilities the harness
@@ -37,12 +44,13 @@
     keeps the DAG substrate identical across commit rules for the
     differential harness. *)
 
-type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync
+type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync | Malformed
 
 val all_strategies : strategy list
 
 val strategy_label : strategy -> string
-(** "equivocate" | "withhold" | "grind" | "bias" | "lying-sync". *)
+(** "equivocate" | "withhold" | "grind" | "bias" | "lying-sync" |
+    "malformed". *)
 
 val strategy_of_string : string -> strategy option
 (** Inverse of {!strategy_label} (CLI parsing). *)
@@ -107,8 +115,8 @@ val victims : t -> int list
 val on_own_vertex : t -> payload:string -> round:int -> unit
 (** The interception point: the harness routes the attacker node's
     [rbc_bcast] here instead of the backend, and the strategy decides
-    what actually goes on the wire (fork, withhold, delay, or pass
-    through). *)
+    what actually goes on the wire (fork, withhold, delay, malform, or
+    pass through). *)
 
 val lying_sync_handler :
   t -> sync_net:Dagrider.Node.sync_msg Net.Port.t -> unit

@@ -37,8 +37,7 @@ type t = {
   commit_quorum : int option;
   link_faults : Harness.Runner.link_faults option;
   lossy_forced : bool;
-  attack : (int * Attack.spec) option;
-  attack_forced : bool;
+  forced_attack : Attack.spec option;
   sync_weakened : bool;
 }
 
@@ -85,23 +84,18 @@ let sample_layer rng ~n ~backend ~horizon =
 
 let sample_fault rng ~horizon node =
   match Stdx.Rng.int rng 5 with
-  | 0 -> Static (Harness.Runner.Crash node)
-  | 1 -> Static (Harness.Runner.Byzantine_silent node)
+  | 0 | 1 -> Static (Harness.Runner.Crash node)
   | 2 -> Static (Harness.Runner.Byzantine_live node)
-  | 3 -> Static (Harness.Runner.Byzantine_attacker node)
+  | 3 ->
+    Static
+      (Harness.Runner.Adversary
+         (node, { Attack.strategy = Attack.Malformed; victims = [] }))
   | _ ->
     Corrupt_at
       { time = horizon *. (0.1 +. (0.5 *. Stdx.Rng.float rng 1.0)); node }
 
-let static_index = function
-  | Harness.Runner.Crash i
-  | Harness.Runner.Byzantine_silent i
-  | Harness.Runner.Byzantine_live i
-  | Harness.Runner.Byzantine_attacker i -> i
-  | Harness.Runner.Adversary (i, _) -> i
-
 let fault_node = function
-  | Static f -> static_index f
+  | Static f -> Harness.Runner.fault_index f
   | Corrupt_at { node; _ } | Restart_at { node; _ } -> node
 
 let faulty_nodes t =
@@ -306,8 +300,8 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
      adversary (plus the sampled restarts, which are not faults), so the
      run stays within the [f] budget and the oracle verdicts stay
      meaningful *)
-  let faults, attack, attack_forced =
-    if sabotage then (faults, None, false)
+  let faults =
+    if sabotage then faults
     else begin
       let busy = List.sort_uniq compare (List.map fault_node faults) in
       let candidates =
@@ -327,9 +321,7 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
           else
             [ Restart_at { time = horizon *. 0.45; node = (node + 1) mod n } ]
         in
-        ( Static (Harness.Runner.Adversary (node, spec)) :: restarts,
-          Some (node, spec),
-          true )
+        Static (Harness.Runner.Adversary (node, spec)) :: restarts
       | None ->
         let static_faulty =
           List.filter (function Restart_at _ -> false | _ -> true) faults
@@ -341,7 +333,7 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
           List.length static_faulty >= f
           || candidates = []
           || Stdx.Rng.int rng 3 <> 0
-        then (faults, None, false)
+        then faults
         else begin
           let node = Stdx.Rng.choose rng (Array.of_list candidates) in
           let strategy =
@@ -350,9 +342,7 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
           let spec = { Attack.strategy; victims = [] } in
           (* consed at the head so the shrinker tries dropping the
              adversary before any other fault *)
-          ( Static (Harness.Runner.Adversary (node, spec)) :: faults,
-            Some (node, spec),
-            false )
+          Static (Harness.Runner.Adversary (node, spec)) :: faults
         end
     end
   in
@@ -373,8 +363,7 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
     commit_quorum = (if sabotage then Some 0 else None);
     link_faults;
     lossy_forced;
-    attack;
-    attack_forced;
+    forced_attack = (if sabotage then None else attack);
     sync_weakened = weaken_sync && not sabotage }
 
 let base_sched base rng =
@@ -459,10 +448,7 @@ let describe_layer = function
 
 let describe_fault = function
   | Static (Harness.Runner.Crash i) -> Printf.sprintf "crash p%d" i
-  | Static (Harness.Runner.Byzantine_silent i) -> Printf.sprintf "silent p%d" i
   | Static (Harness.Runner.Byzantine_live i) -> Printf.sprintf "byz-live p%d" i
-  | Static (Harness.Runner.Byzantine_attacker i) ->
-    Printf.sprintf "attacker p%d" i
   | Static (Harness.Runner.Adversary (i, spec)) -> Attack.describe ~node:i spec
   | Corrupt_at { time; node } -> Printf.sprintf "corrupt p%d@%.1f" node time
   | Restart_at { time; node } -> Printf.sprintf "restart p%d@%.1f" node time
@@ -491,7 +477,7 @@ let describe t =
     | None -> ""
     | Some lf ->
       " " ^ describe_lossy lf ^ if t.lossy_forced then "(forced)" else "")
-    ((if t.attack <> None && t.attack_forced then " attack(forced)" else "")
+    ((if t.forced_attack <> None then " attack(forced)" else "")
     ^ if t.sync_weakened then " sync=TRUSTING(WEAKENED)" else "")
     t.horizon
     (if t.quick then " (quick)" else "")

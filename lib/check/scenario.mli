@@ -63,14 +63,11 @@ type t = {
   lossy_forced : bool;
       (** [link_faults] came from the caller, not the seed — the repro
           command must carry the rates explicitly *)
-  attack : (int * Attack.spec) option;
-      (** the programmable adversary, if any — also present in [faults]
-          as [Static (Adversary _)]; kept here so the CLI and repro
-          rendering can reach the spec without pattern-matching the
-          script *)
-  attack_forced : bool;
-      (** the adversary came from the caller ([~attack]), not the seed —
-          the repro command must carry the [--attack] flag *)
+  forced_attack : Attack.spec option;
+      (** the spec the caller forced ([~attack]), not drawn from the
+          seed — the repro command must carry the [--attack] flag even
+          after shrinking drops the adversary from [faults], which is
+          the only place the adversary itself lives *)
   sync_weakened : bool;
       (** run the fleet with the deliberately weakened sync validator
           ([sync_trusting]; planted-vulnerability self-test only) *)

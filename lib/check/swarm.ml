@@ -124,10 +124,9 @@ let repro_command (sc : Scenario.t) =
     | _ -> "")
     (* same split for the adversary: a sampled one replays from the
        seed, a forced one must be repeated on the command line *)
-    ^ (match sc.Scenario.attack with
-      | Some (_, spec) when sc.Scenario.attack_forced ->
-        " --attack " ^ Attack.strategy_label spec.Attack.strategy
-      | _ -> "")
+    ^ (match sc.Scenario.forced_attack with
+      | Some spec -> " --attack " ^ Attack.strategy_label spec.Attack.strategy
+      | None -> "")
     ^ if sc.Scenario.sync_weakened then " --weaken-sync" else ""
 
 let shrink_list ~keep xs =
@@ -149,18 +148,7 @@ let shrink (outcome : outcome) =
       match Hashtbl.find_opt cache key with
       | Some o -> o
       | None ->
-        (* keep the convenience field in step with the script, so a
-           shrunk scenario that dropped its adversary doesn't still
-           advertise one *)
-        let attack =
-          List.find_map
-            (function
-              | Scenario.Static (Harness.Runner.Adversary (i, s)) ->
-                Some (i, s)
-              | _ -> None)
-            faults
-        in
-        let o = run_scenario { sc with Scenario.faults; attack } in
+        let o = run_scenario { sc with Scenario.faults } in
         Hashtbl.add cache key o;
         o
     in

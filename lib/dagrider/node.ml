@@ -784,13 +784,19 @@ type checkpoint = {
   ck_delivered : Vertex.t list;
   ck_decided_wave : int;
   ck_round : int;
+  ck_shares : Crypto.Threshold_coin.share list;
 }
 
 let checkpoint t =
   { ck_dag = t.dag;
     ck_delivered = Ordering.delivered_log t.ordering;
     ck_decided_wave = Ordering.decided_wave t.ordering;
-    ck_round = t.round }
+    ck_round = t.round;
+    ck_shares =
+      Hashtbl.fold
+        (fun wave bucket acc ->
+          if wave > Ordering.decided_wave t.ordering then !bucket @ acc else acc)
+        t.shares [] }
 
 let restore ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
     ?trace ?block_source ?a_deliver ?on_commit ck =
@@ -814,6 +820,7 @@ let restore ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
   t.share_sent_up_to <- t.coin_waves_completed;
   t.next_wave_to_order <- ck.ck_decided_wave + 1;
   t.started <- true;
+  List.iter (fun share -> on_coin_msg t ~src:me (Coin_share share)) ck.ck_shares;
   ignore (request_sync t : bool);
   t
 

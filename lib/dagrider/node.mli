@@ -97,6 +97,13 @@ type config = {
 
 val default_config : n:int -> f:int -> config
 
+val effective_rule : config -> Ordering.rule
+(** The rule the node orders with: coin-scheduled rules order on the
+    coin cadence (their [rule_wave_length] is replaced by
+    [config.wave_length], keeping the wave-length ablation one knob);
+    round-robin rules keep their own wave length and leave
+    [config.wave_length] as the coin cadence only. *)
+
 type t
 
 val create :
@@ -132,11 +139,16 @@ type checkpoint = {
   ck_delivered : Vertex.t list; (** the ordered log, oldest first *)
   ck_decided_wave : int;
   ck_round : int; (** the round whose vertex was last broadcast *)
+  ck_shares : Crypto.Threshold_coin.share list;
+      (** coin shares received for instances after [ck_decided_wave] *)
 }
 (** Everything a process must persist to restart without equivocating:
     its DAG ({!Snapshot} serializes it), its delivered log and decided
     wave (so nothing is re-delivered), and its last broadcast round (so
-    it never signs two different vertices for one round). *)
+    it never signs two different vertices for one round). The coin
+    shares it holds for undecided waves are persisted too: peers send a
+    share once, so a restarted process could otherwise never resolve
+    those waves' leaders and its ordering would stall for good. *)
 
 val checkpoint : t -> checkpoint
 

@@ -8,9 +8,7 @@ type schedule =
 
 type fault =
   | Crash of int
-  | Byzantine_silent of int
   | Byzantine_live of int
-  | Byzantine_attacker of int
   | Adversary of int * Attack.spec
 
 type link_faults = {
@@ -82,15 +80,19 @@ let default_options ~n =
     workload = None;
     monitor = None }
 
-(* The rule the nodes actually run (Node applies the same resolution):
-   coin-scheduled rules order on the coin cadence [options.wave_length];
-   round-robin rules keep their own wave length. *)
-let effective_rule options =
-  match options.rule.Dagrider.Ordering.rule_schedule with
-  | Dagrider.Ordering.Coin ->
-    { options.rule with
-      Dagrider.Ordering.rule_wave_length = options.wave_length }
-  | Dagrider.Ordering.Round_robin -> options.rule
+let node_config options =
+  { Dagrider.Node.n = options.n;
+    f = options.f;
+    rule = options.rule;
+    wave_length = options.wave_length;
+    commit_quorum = options.commit_quorum;
+    enable_weak_edges = options.enable_weak_edges;
+    gc_depth = options.gc_depth;
+    coin_mode =
+      (if options.coin_in_dag then Dagrider.Node.In_dag
+       else Dagrider.Node.Separate_network) }
+
+let effective_rule options = Dagrider.Node.effective_rule (node_config options)
 
 (* One protocol stack's transport: the port the protocol talks to, the
    fault-injection hooks the harness needs, and the loss-diagnostics
@@ -141,9 +143,7 @@ and monitor_ctx = {
   mc_commits : int ref; (* direct+chained commits seen at the observer *)
 }
 
-let fault_index = function
-  | Crash i | Byzantine_silent i | Byzantine_live i | Byzantine_attacker i -> i
-  | Adversary (i, _) -> i
+let fault_index = function Crash i | Byzantine_live i | Adversary (i, _) -> i
 
 let make_sched ~schedule ~rng =
   match schedule with
@@ -478,18 +478,7 @@ let build options =
   let make_rbc : Dagrider.Node.rbc_factory =
    fun ~me ~deliver -> fst (make_rbc_full ~me ~deliver)
   in
-  let config =
-    { Dagrider.Node.n;
-      f;
-      rule = options.rule;
-      wave_length = options.wave_length;
-      commit_quorum = options.commit_quorum;
-      enable_weak_edges = options.enable_weak_edges;
-      gc_depth = options.gc_depth;
-      coin_mode =
-        (if options.coin_in_dag then Dagrider.Node.In_dag
-         else Dagrider.Node.Separate_network) }
-  in
+  let config = node_config options in
   let latency = Metrics.Latency.create () in
   let mempools =
     match options.workload with
@@ -577,70 +566,13 @@ let build options =
         (* the attacker node starts and runs; its deviations were wired
            into its broadcast path at creation time *)
         ()
-      | Crash _ | Byzantine_silent _ ->
+      | Crash _ ->
         crashed.(i) <- true;
         (* a silent process neither proposes nor relays: silence its RBC
            participation and its coin handler entirely *)
         silence_rbc ~drop_in_flight:false i;
         coin_stack.st_detach i
-      | Byzantine_live _ -> ()
-      | Byzantine_attacker _ ->
-        crashed.(i) <- true (* the honest node never starts... *);
-        (* ...but an attacker endpoint takes its place: it keeps the RBC
-           relay machinery (created by Node.create above) and injects a
-           rotating menu of malicious broadcasts *)
-        let handle =
-          make_rbc ~me:i ~deliver:(fun ~payload:_ ~round:_ ~source:_ -> ())
-        in
-        let attack_rng = Stdx.Rng.create (seed + (1_000 * i)) in
-        let genesis =
-          List.init n (fun source -> { Dagrider.Vertex.round = 0; source })
-        in
-        let rec attack step =
-          (match step mod 4 with
-          | 0 ->
-            (* undecodable garbage *)
-            handle.Dagrider.Node.rbc_bcast
-              ~payload:(String.init 40 (fun _ -> Char.chr (Stdx.Rng.int attack_rng 256)))
-              ~round:(1 + (step / 4))
-          | 1 ->
-            (* structurally invalid vertex: too few strong edges *)
-            let v =
-              { Dagrider.Vertex.round = 1 + (step / 4);
-                source = i;
-                block = "bad";
-                strong_edges = [ List.hd genesis ];
-                weak_edges = [] }
-            in
-            handle.Dagrider.Node.rbc_bcast ~payload:(Dagrider.Vertex.encode v)
-              ~round:(1 + (step / 4))
-          | 2 ->
-            (* equivocation attempt: a second, different payload for a
-               round it already used (reliable broadcast must dedupe) *)
-            let v =
-              { Dagrider.Vertex.round = 1;
-                source = i;
-                block = Printf.sprintf "equivocation-%d" step;
-                strong_edges = genesis;
-                weak_edges = [] }
-            in
-            handle.Dagrider.Node.rbc_bcast ~payload:(Dagrider.Vertex.encode v)
-              ~round:1
-          | _ ->
-            (* edge sources out of range *)
-            let v =
-              { Dagrider.Vertex.round = 1 + (step / 4);
-                source = i;
-                block = "";
-                strong_edges =
-                  List.init 3 (fun k -> { Dagrider.Vertex.round = step / 4; source = n + k });
-                weak_edges = [] }
-            in
-            handle.Dagrider.Node.rbc_bcast ~payload:(Dagrider.Vertex.encode v)
-              ~round:(1 + (step / 4)));
-          Sim.Engine.schedule engine ~delay:1.0 (fun () -> attack (step + 1))
-        in
-        Sim.Engine.schedule engine ~delay:0.5 (fun () -> attack 0));
+      | Byzantine_live _ -> ());
       coin_stack.st_corrupt ~drop_in_flight:false i)
     options.faults;
   (* deterministic client traffic: one transaction per period per live
@@ -1121,11 +1053,10 @@ let restart_node t i =
     | Error e -> invalid_arg ("Runner.restart_node: delivered log corrupt: " ^ e)
   in
   let ck =
-    { Dagrider.Node.ck_dag = dag;
+    { ck with
+      Dagrider.Node.ck_dag = dag;
       ck_delivered =
-        List.map (fun r -> Option.get (Dagrider.Dag.find dag r)) delivered_refs;
-      ck_decided_wave = ck.Dagrider.Node.ck_decided_wave;
-      ck_round = ck.Dagrider.Node.ck_round }
+        List.map (fun r -> Option.get (Dagrider.Dag.find dag r)) delivered_refs }
   in
   let a_deliver, on_commit, block_source =
     node_hooks ~options:t.options ~engine:t.engine ~latency:t.latency

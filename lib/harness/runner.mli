@@ -16,34 +16,30 @@ type schedule =
 
 type fault =
   | Crash of int
-      (** Never starts and never sends — the strongest silent fault. *)
-  | Byzantine_silent of int
-      (** Marked corrupted in the accounting and silent (for chain
-          quality / resilience runs). *)
+      (** Never starts and never sends: its reliable-broadcast
+          participation and coin handler are silenced from the start.
+          The process counts as faulty in the accounting (chain quality,
+          [correct_indices]). *)
   | Byzantine_live of int
-      (** Runs the protocol honestly but is counted as Byzantine —
-          models a Byzantine process whose best strategy is to
-          participate (e.g. to place its blocks in the order); used by
-          the chain-quality experiment. *)
-  | Byzantine_attacker of int
-      (** An active attacker: relays reliable-broadcast traffic (so it
-          cannot be detected by silence) but, instead of running the
-          protocol, periodically broadcasts garbage payloads, vertices
-          that fail validation, equivocating payloads for its own
-          rounds, and replays — everything a malicious implementation
-          can push through the broadcast channel. Correct processes must
-          drop all of it and keep both safety and liveness. *)
+      (** Runs the protocol honestly but is counted as Byzantine. It is
+          an accounting fault, not an attacker: it models a Byzantine
+          process whose best strategy is to participate (e.g. to place
+          its blocks in the order), for the chain-quality experiment. *)
   | Adversary of int * Attack.spec
       (** A programmable compromised process (see {!Attack}): it runs
           the {e real} node — real DAG, real wire codecs, real coin
           participation — but its own-vertex broadcasts detour through
-          an adaptive strategy (equivocation through the backend's
+          the spec's strategy (equivocation through the backend's
           genuine messages, selective withholding, coin-grinding,
-          leader-biasing) and, under [Lying_sync], its catch-up
-          responder serves corrupted state to restarting peers. Each
-          driver gets a dedicated RNG stream split after every
-          historical one, so attacked runs are pure functions of the
-          seed and attack-free runs replay byte-identically. *)
+          leader-biasing, malformed vertices Algorithm 2 must refuse)
+          and, under [Lying_sync], its catch-up responder serves
+          corrupted state to restarting peers. Each driver gets a
+          dedicated RNG stream split after every historical one, so
+          attacked runs are pure functions of the seed and attack-free
+          runs replay byte-identically. *)
+
+val fault_index : fault -> int
+(** The process a fault applies to. *)
 
 type link_faults = {
   lf_drop : float;  (** per-message loss probability *)
@@ -155,11 +151,8 @@ val default_options : n:int -> options
     32-byte blocks, the paper's rule and wave parameters, no faults. *)
 
 val effective_rule : options -> Dagrider.Ordering.rule
-(** The rule the nodes actually run: coin-scheduled rules order on the
-    coin cadence (so [rule_wave_length] is overridden by
-    [options.wave_length], keeping the wave-length ablation one knob);
-    round-robin rules keep their own wave length and leave
-    [options.wave_length] as the coin cadence only. *)
+(** The rule the nodes actually run: {!Dagrider.Node.effective_rule} of
+    the node configuration [build] derives from [options]. *)
 
 type t
 
@@ -337,5 +330,5 @@ val restart_node : t -> int -> unit
     {!Trace.kind.Sync_gave_up} on exhaustion). The backoff stream is
     keyed off the run seed and [i], so replays are byte-identical.
     Restarting mid-partition is legal — lost requests are retried.
-    @raise Invalid_argument if [i] never started (declared [Crash] or
-    [Byzantine_silent]): there is no state to restart from. *)
+    @raise Invalid_argument if [i] never started (declared [Crash]):
+    there is no state to restart from. *)

@@ -164,8 +164,13 @@ let test_trusting_sync_falls_for_the_liar () =
 let test_forced_attack_scenario_shape () =
   let spec = { Attack.strategy = Attack.Equivocate; victims = [] } in
   let sc = Check.Scenario.generate ~quick:true ~attack:spec ~seed:5 () in
-  checkb "attack recorded" true (sc.Check.Scenario.attack <> None);
-  checkb "marked forced" true sc.Check.Scenario.attack_forced;
+  checkb "adversary in the fault script" true
+    (List.exists
+       (function
+         | Check.Scenario.Static (Harness.Runner.Adversary (_, s)) -> s = spec
+         | _ -> false)
+       sc.Check.Scenario.faults);
+  checkb "marked forced" true (sc.Check.Scenario.forced_attack = Some spec);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -178,6 +183,25 @@ let test_forced_attack_scenario_shape () =
   Alcotest.(check string)
     "same seed, same attacked scenario"
     (Check.Scenario.describe sc) (Check.Scenario.describe sc')
+
+(* shrinking may drop the forced adversary from the fault script; the
+   repro must still force it, or it regenerates the unforced scenario *)
+let test_repro_keeps_forced_attack_after_shrink () =
+  let spec = { Attack.strategy = Attack.Withhold; victims = [] } in
+  let sc = Check.Scenario.generate ~quick:true ~attack:spec ~seed:5 () in
+  let faults =
+    List.filter
+      (function
+        | Check.Scenario.Static (Harness.Runner.Adversary _) -> false
+        | _ -> true)
+      sc.Check.Scenario.faults
+  in
+  checkb "adversary dropped" true (faults <> sc.Check.Scenario.faults);
+  let repro = Check.Swarm.repro_command { sc with Check.Scenario.faults } in
+  let suffix = " --attack withhold" in
+  let nr = String.length repro and ns = String.length suffix in
+  checkb "repro still forces the attack" true
+    (nr >= ns && String.sub repro (nr - ns) ns = suffix)
 
 let test_weaken_sync_scenario_is_planted () =
   let sc =
@@ -222,5 +246,7 @@ let () =
       ( "scenario",
         [ Alcotest.test_case "forced attack shape" `Quick
             test_forced_attack_scenario_shape;
+          Alcotest.test_case "repro keeps a shrunk-away forced attack" `Quick
+            test_repro_keeps_forced_attack_after_shrink;
           Alcotest.test_case "weaken-sync is planted and caught" `Slow
             test_weaken_sync_scenario_is_planted ] ) ]

@@ -22,6 +22,9 @@ let min_delivered h =
     max_int
     (Harness.Runner.correct_indices h)
 
+(* the malformed-vertex attacker of lib/attack *)
+let malformed = { Attack.strategy = Attack.Malformed; victims = [] }
+
 (* ---- safety and liveness across backends and schedules ---- *)
 
 let test_safety_liveness ~backend ~schedule ~n () =
@@ -71,7 +74,7 @@ let test_stress_n16 () =
       schedule = Harness.Runner.Skewed_random;
       block_bytes = 16;
       faults =
-        [ Crash 13; Crash 14; Byzantine_live 15; Byzantine_attacker 12 ] }
+        [ Crash 13; Crash 14; Byzantine_live 15; Adversary (12, malformed) ] }
   in
   let h = Harness.Runner.build opts in
   Harness.Runner.run h ~until:40.0;
@@ -419,36 +422,59 @@ let test_quorum_below_fplus1_diverges () =
   checkb "paper quorum: prefix-comparable" true (prefix_comparable log_a' log_b')
 
 let test_active_attacker_tolerated () =
-  (* an attacker floods the broadcast channel with garbage, invalid
-     vertices, out-of-range edges and equivocation attempts; correct
-     processes must drop it all and keep total order + progress *)
+  (* the attacker replaces its own vertices with undecodable bytes,
+     vertices with one strong edge and vertices whose strong-edge sources
+     are out of range, one kind per round; correct processes must drop it
+     all and keep total order + progress, on every backend *)
   List.iter
-    (fun seed ->
-      let opts =
-        { (Harness.Runner.default_options ~n:4) with
-          seed;
-          faults = [ Byzantine_attacker 3 ] }
-      in
-      let h = Harness.Runner.build opts in
-      Harness.Runner.run h ~until:80.0;
-      assert_safe h;
-      checkb "progress despite attacker" true (min_delivered h > 15);
-      (* the attacker can contribute at most one (valid) vertex per round
-         it equivocated on; its garbage never enters any DAG *)
-      let dag = Dagrider.Node.dag (Harness.Runner.node h 0) in
+    (fun backend ->
       List.iter
-        (fun v ->
-          checkb "only validated vertices in the DAG" true
-            (Dagrider.Vertex.validate ~n:4 ~f:1 v = Ok ()))
-        (Dagrider.Dag.vertices dag))
-    [ 51; 52; 53 ]
+        (fun seed ->
+          (* the malformed kind is fixed by the round: (round - 1) mod 3 *)
+          let kinds = Array.make 3 0 in
+          let tracer = Trace.create () in
+          Trace.add_sink tracer (fun e ->
+            match e.Trace.kind with
+            | Trace.Rbc_phase { node; origin = 3; round; phase = "deliver" }
+              when node <> 3 ->
+              let k = (round - 1) mod 3 in
+              kinds.(k) <- kinds.(k) + 1
+            | _ -> ());
+          let opts =
+            { (Harness.Runner.default_options ~n:4) with
+              seed;
+              backend;
+              trace = Some tracer;
+              faults = [ Adversary (3, malformed) ] }
+          in
+          let h = Harness.Runner.build opts in
+          Harness.Runner.run h ~until:80.0;
+          assert_safe h;
+          checkb "progress despite attacker" true (min_delivered h > 15);
+          List.iter
+            (fun i ->
+              checkb "no attacker vertex in a correct DAG" true
+                (List.for_all
+                   (fun v ->
+                     v.Dagrider.Vertex.source <> 3 || v.Dagrider.Vertex.round = 0)
+                   (Dagrider.Dag.vertices
+                      (Dagrider.Node.dag (Harness.Runner.node h i)))))
+            (Harness.Runner.correct_indices h);
+          (* every malformed kind got its own instance and reached
+             Node.on_r_deliver at a correct process *)
+          Array.iteri
+            (fun k c ->
+              checkb (Printf.sprintf "malformed kind %d delivered" k) true (c > 0))
+            kinds)
+        [ 51; 52; 53 ])
+    [ Bracha; Avid; Gossip ]
 
 let test_attacker_with_crash_at_bound () =
   (* n = 7, f = 2: one active attacker plus one crash = exactly f faults *)
   let opts =
     { (Harness.Runner.default_options ~n:7) with
       seed = 54;
-      faults = [ Byzantine_attacker 5; Crash 6 ] }
+      faults = [ Adversary (5, malformed); Crash 6 ] }
   in
   let h = Harness.Runner.build opts in
   Harness.Runner.run h ~until:80.0;
@@ -619,8 +645,8 @@ let prop_safety_under_fuzzed_schedules =
 
 let test_restart_catches_up () =
   List.iter
-    (fun seed ->
-      let opts = { (Harness.Runner.default_options ~n:4) with seed } in
+    (fun (seed, faults) ->
+      let opts = { (Harness.Runner.default_options ~n:4) with seed; faults } in
       let h = Harness.Runner.build opts in
       Harness.Runner.run h ~until:40.0;
       let before =
@@ -650,7 +676,9 @@ let test_restart_catches_up () =
         (Printf.sprintf "seed %d: within reach of healthy peers (%d vs %d)"
            seed after healthy)
         true (after * 10 >= healthy * 8))
-    [ 61; 62; 63 ]
+    (* seed 5 with a crash restarts p2 while a wave's coin is resolved but
+       the wave is undecided: peers never resend those shares *)
+    [ (61, []); (62, []); (63, []); (5, [ Crash 3 ]) ]
 
 let test_double_restart () =
   let opts = { (Harness.Runner.default_options ~n:4) with seed = 64 } in
@@ -668,7 +696,7 @@ let test_restart_during_attack () =
   let opts =
     { (Harness.Runner.default_options ~n:7) with
       seed = 65;
-      faults = [ Byzantine_attacker 6 ] }
+      faults = [ Adversary (6, malformed) ] }
   in
   let h = Harness.Runner.build opts in
   Harness.Runner.run h ~until:30.0;

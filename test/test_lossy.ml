@@ -498,7 +498,9 @@ let test_restart_under_byzantine () =
   let options =
     { (Harness.Runner.default_options ~n:4) with
       seed = 5;
-      faults = [ Harness.Runner.Byzantine_attacker 3 ] }
+      faults =
+        [ Harness.Runner.Adversary
+            (3, { Attack.strategy = Attack.Malformed; victims = [] }) ] }
   in
   let t = Harness.Runner.build options in
   Harness.Runner.run t ~until:40.0;

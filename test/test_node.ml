@@ -269,7 +269,8 @@ let test_checkpoint_restore_roundtrip () =
     { Dagrider.Node.ck_dag = dag';
       ck_delivered = delivered;
       ck_decided_wave = ck.Dagrider.Node.ck_decided_wave;
-      ck_round = ck.Dagrider.Node.ck_round }
+      ck_round = ck.Dagrider.Node.ck_round;
+      ck_shares = ck.Dagrider.Node.ck_shares }
   in
   (* the fleet keeps running while node 0 is "down": its peers get ahead *)
   Harness.Runner.run h ~until:60.0;
