@@ -32,14 +32,14 @@ type t = {
 
 (* ---- ordering ---- *)
 
+(* [proc.delivered] is a union of causal histories, so downward closed:
+   the walk stops at it *)
 let deliver_history proc vref =
   List.iter
     (fun v ->
-      if not (Hashtbl.mem proc.delivered (Vertex.vref_of v)) then begin
-        Hashtbl.add proc.delivered (Vertex.vref_of v) ();
-        proc.log_rev <- v :: proc.log_rev
-      end)
-    (Dag.causal_history proc.dag vref)
+      Hashtbl.add proc.delivered (Vertex.vref_of v) ();
+      proc.log_rev <- v :: proc.log_rev)
+    (Dag.undelivered_history proc.dag vref ~delivered:(Hashtbl.mem proc.delivered))
 
 let rec try_order t proc =
   let r = proc.next_order in

@@ -1043,21 +1043,15 @@ let restart_node t i =
     | Ok d -> d
     | Error e -> invalid_arg ("Runner.restart_node: snapshot corrupt: " ^ e)
   in
-  let delivered_refs =
+  let delivered =
     match
       Dagrider.Snapshot.delivered_of_string
-        (Dagrider.Snapshot.delivered_to_string
-           (List.map Dagrider.Vertex.vref_of ck.Dagrider.Node.ck_delivered))
+        (Dagrider.Snapshot.delivered_to_string ck.Dagrider.Node.ck_delivered)
     with
-    | Ok refs -> refs
+    | Ok log -> log
     | Error e -> invalid_arg ("Runner.restart_node: delivered log corrupt: " ^ e)
   in
-  let ck =
-    { ck with
-      Dagrider.Node.ck_dag = dag;
-      ck_delivered =
-        List.map (fun r -> Option.get (Dagrider.Dag.find dag r)) delivered_refs }
-  in
+  let ck = { ck with Dagrider.Node.ck_dag = dag; ck_delivered = delivered } in
   let a_deliver, on_commit, block_source =
     node_hooks ~options:t.options ~engine:t.engine ~latency:t.latency
       ~mempools:t.mempools ~mctx:t.mctx ~me:i
@@ -1110,7 +1104,7 @@ let restart_node t i =
             max !fleet_hi
               (Dagrider.Dag.highest_round (Dagrider.Node.dag other)))
       t.nodes;
-    (not (hole 1)) && hi + 1 >= !fleet_hi
+    (not (hole (max 1 (Dagrider.Dag.floor dag)))) && hi + 1 >= !fleet_hi
   in
   let emit kind =
     match t.options.trace with

@@ -324,9 +324,9 @@ val restart_node : t -> int -> unit
     fleet. Follow-up sync requests run on seeded exponential backoff
     with jitter (initial 3.0, factor 1.6, cap 20.0, jitter 0.3 —
     {!Net.Link}'s retransmit shape), stopping as soon as the node's DAG
-    has no under-populated round below its frontier and that frontier
-    is within one round of the live fleet's, or after 6 attempts
-    (emitting {!Trace.kind.Sync_retry} per attempt and
+    has no under-populated round between its GC floor and its frontier
+    and that frontier is within one round of the live fleet's, or after
+    6 attempts (emitting {!Trace.kind.Sync_retry} per attempt and
     {!Trace.kind.Sync_gave_up} on exhaustion). The backoff stream is
     keyed off the run seed and [i], so replays are byte-identical.
     Restarting mid-partition is legal — lost requests are retried.

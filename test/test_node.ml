@@ -243,7 +243,7 @@ let test_checkpoint_restore_roundtrip () =
   Harness.Runner.run h ~until:40.0;
   let original = Harness.Runner.node h 0 in
   let ck = Dagrider.Node.checkpoint original in
-  (* full persistence roundtrip: DAG and delivered refs through the
+  (* full persistence roundtrip: DAG and delivered log through the
      Snapshot codec, scalars as the caller would store them *)
   let dag' =
     match
@@ -253,17 +253,13 @@ let test_checkpoint_restore_roundtrip () =
     | Ok d -> d
     | Error e -> Alcotest.fail e
   in
-  let delivered_refs =
+  let delivered =
     match
       Dagrider.Snapshot.delivered_of_string
-        (Dagrider.Snapshot.delivered_to_string
-           (List.map Dagrider.Vertex.vref_of ck.Dagrider.Node.ck_delivered))
+        (Dagrider.Snapshot.delivered_to_string ck.Dagrider.Node.ck_delivered)
     with
-    | Ok refs -> refs
+    | Ok log -> log
     | Error e -> Alcotest.fail e
-  in
-  let delivered =
-    List.map (fun r -> Option.get (Dagrider.Dag.find dag' r)) delivered_refs
   in
   let ck' =
     { Dagrider.Node.ck_dag = dag';
