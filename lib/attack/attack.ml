@@ -10,15 +10,6 @@ let strategy_label = function
   | Lying_sync -> "lying-sync"
   | Malformed -> "malformed"
 
-let strategy_of_string = function
-  | "equivocate" -> Some Equivocate
-  | "withhold" -> Some Withhold
-  | "grind" -> Some Grind
-  | "bias" -> Some Bias
-  | "lying-sync" -> Some Lying_sync
-  | "malformed" -> Some Malformed
-  | _ -> None
-
 type spec = { strategy : strategy; victims : int list }
 
 let describe ~node spec =

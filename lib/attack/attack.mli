@@ -52,9 +52,6 @@ val strategy_label : strategy -> string
 (** "equivocate" | "withhold" | "grind" | "bias" | "lying-sync" |
     "malformed". *)
 
-val strategy_of_string : string -> strategy option
-(** Inverse of {!strategy_label} (CLI parsing). *)
-
 type spec = {
   strategy : strategy;
   victims : int list;

@@ -34,6 +34,3 @@ let verify_cert t ~threshold cert =
      checking signer multiplicity and range *)
   List.length (List.sort_uniq compare cert.signers) >= threshold
   && List.for_all (fun i -> i >= 0 && i < Array.length t.keys) cert.signers
-
-let signature_size_bits = 512
-let cert_size_bits = 512

@@ -32,8 +32,3 @@ val make_cert :
     distinct signers on [msg]; [None] if not enough. *)
 
 val verify_cert : t -> threshold:int -> quorum_cert -> bool
-
-val signature_size_bits : int
-val cert_size_bits : int
-(** Certificates are charged at constant size (threshold-signature
-    model), per the complexity accounting in VABA/Dumbo papers. *)

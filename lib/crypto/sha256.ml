@@ -168,8 +168,6 @@ let digest_string s =
   feed_state st s;
   finalize_state st
 
-let digest_bytes b = digest_string (Bytes.to_string b)
-
 let to_hex d =
   let buf = Buffer.create 64 in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;

@@ -12,8 +12,6 @@ type digest = string
 val digest_string : string -> digest
 (** Hash a byte string. *)
 
-val digest_bytes : bytes -> digest
-
 val to_hex : digest -> string
 (** Lowercase hexadecimal rendering (64 chars). *)
 

@@ -57,5 +57,3 @@ let combine t ~instance shares =
     in
     Some (Field.element_of_digest digest mod t.n)
   end
-
-let share_size_bits = 96 (* holder id + instance + 31-bit field element *)

@@ -63,6 +63,3 @@ val combine : t -> instance:int -> share list -> int option
     for [instance] from distinct holders, [None] otherwise. Invalid or
     duplicate shares are ignored rather than raising, since they come
     from the network. *)
-
-val share_size_bits : int
-(** Wire size charged per share by the communication accounting. *)

@@ -53,8 +53,6 @@ val bullshark : rule
 
 val rules : rule list
 
-val rule_names : string list
-
 val rule_of_name : string -> rule option
 (** Look a rule up by [rule_name] ("dagrider" / "bullshark"). *)
 

@@ -98,9 +98,3 @@ let validate ~n ~f v =
 let digest v =
   Crypto.Sha256.digest_string
     (Printf.sprintf "vertex:%d:%d:" v.round v.source ^ encode v)
-
-let pp fmt v =
-  Format.fprintf fmt "v(r=%d,p=%d,|b|=%d,s=%d,w=%d)" v.round v.source
-    (String.length v.block)
-    (List.length v.strong_edges)
-    (List.length v.weak_edges)

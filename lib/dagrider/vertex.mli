@@ -49,6 +49,3 @@ val validate : n:int -> f:int -> t -> (unit, string) result
 val digest : t -> string
 (** SHA-256 over the canonical encoding plus envelope, used as payload
     identity in metrics and examples. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact rendering like [v(r=3,p=1,|b|=120,s=4,w=1)]. *)

@@ -35,11 +35,3 @@ let audit ~f ~correct ~sources =
     worst_prefix_len = !worst_len;
     worst_prefix_ratio = (if !worst_len = 0 then 1.0 else !worst_ratio);
     holds = !holds }
-
-let ratio_of_correct ~correct ~sources =
-  match sources with
-  | [] -> 0.0
-  | _ ->
-    let total = List.length sources in
-    let good = List.length (List.filter correct sources) in
-    float_of_int good /. float_of_int total

@@ -18,6 +18,3 @@ val audit : f:int -> correct:(int -> bool) -> sources:int list -> report
 (** [audit ~f ~correct ~sources] checks the log whose i-th ordered entry
     came from [List.nth sources i]. The bound is evaluated, per the
     paper, on prefixes whose length is a multiple of [2f + 1]. *)
-
-val ratio_of_correct : correct:(int -> bool) -> sources:int list -> float
-(** Fraction of the whole log from correct sources; 0 on an empty log. *)

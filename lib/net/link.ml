@@ -224,11 +224,6 @@ let send t ~dst ~kind ~bits msg =
     schedule_retry t ~dst ~seq ~timeout:t.config.rto
   end
 
-let broadcast t ~kind ~bits msg =
-  for dst = 0 to Network.n t.net - 1 do
-    send t ~dst ~kind ~bits msg
-  done
-
 let mark_seen t ~src ~seq =
   if seq < t.floor.(src) || Hashtbl.mem t.seen.(src) seq then false
   else begin

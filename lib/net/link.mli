@@ -88,9 +88,6 @@ val send : 'msg t -> dst:int -> kind:string -> bits:int -> 'msg -> unit
     the frame header (sequence number, checksum, kind tag) is charged
     on top, and again on every retransmission. *)
 
-val broadcast : 'msg t -> kind:string -> bits:int -> 'msg -> unit
-(** {!send} to all [n] processes, self included. *)
-
 val detach : 'msg t -> unit
 (** Silence the endpoint for good: unregister from the frame network,
     drop the handler, and cancel all pending retransmissions (used by

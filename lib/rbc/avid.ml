@@ -120,7 +120,6 @@ type t = {
   coder : Crypto.Reed_solomon.coder;
   deliver : deliver;
   instances : instance Tbl.t;
-  mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
 
@@ -214,7 +213,6 @@ let try_deliver t inst ~origin ~round ~commit =
           let tree = Crypto.Merkle.build re_frags in
           if String.equal (Crypto.Merkle.root tree) commit.root then begin
             inst.delivered <- true;
-            t.delivered_count <- t.delivered_count + 1;
             phase t ~origin ~round "deliver";
             t.deliver ~payload ~round ~source:origin
           end
@@ -277,7 +275,6 @@ let create_port ~port ~me ~f ~deliver =
       coder = Crypto.Reed_solomon.make ~k ~n;
       deliver;
       instances = Tbl.create 64;
-      delivered_count = 0;
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
@@ -331,5 +328,3 @@ let bcast_inconsistent t ~payload ~round =
   frags.(last) <-
     String.map (fun c -> Char.chr (Char.code c lxor 0xFF)) frags.(last);
   disperse t ~round ~frags ~data_len:(String.length payload)
-
-let delivered_instances t = t.delivered_count

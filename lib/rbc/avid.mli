@@ -66,8 +66,6 @@ val set_trace : t -> Trace.t -> unit
 
 val bcast : t -> payload:string -> round:int -> unit
 
-val delivered_instances : t -> int
-
 val bcast_inconsistent : t -> payload:string -> round:int -> unit
 (** Byzantine dispersal helper for tests: commits to a fragment vector
     that is {e not} a codeword (one fragment corrupted before building

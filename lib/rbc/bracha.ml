@@ -60,7 +60,6 @@ type t = {
   f : int;
   deliver : deliver;
   instances : instance Tbl.t;
-  mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
 
@@ -124,7 +123,6 @@ let try_deliver t inst ~origin ~round ~digest =
       (match Hashtbl.find_opt inst.payloads digest with
       | Some payload ->
         inst.delivered <- true;
-        t.delivered_count <- t.delivered_count + 1;
         phase t ~origin ~round "deliver";
         t.deliver ~payload ~round ~source:origin
       | None -> ())
@@ -168,7 +166,6 @@ let create_port ~port ~me ~f ~deliver =
       f;
       deliver;
       instances = Tbl.create 64;
-      delivered_count = 0;
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
@@ -191,5 +188,3 @@ let inject_init t ~dst ~round ~payload =
   let msg = Init { round; payload } in
   Net.Port.send t.net ~src:t.me ~dst ~kind:"bracha-init" ~bits:(msg_bits msg)
     msg
-
-let delivered_instances t = t.delivered_count

@@ -48,9 +48,6 @@ val bcast : t -> payload:string -> round:int -> unit
 (** [r_bcast] of the abstraction. A correct process calls this at most
     once per round (the DAG layer guarantees it). *)
 
-val delivered_instances : t -> int
-(** Number of instances this process has delivered (for tests). *)
-
 val inject_init : t -> dst:int -> round:int -> payload:string -> unit
 (** Byzantine-attacker capability: send a raw [Init] for this process's
     instance [(me, round)] to a {e single} destination — the primitive

@@ -73,8 +73,6 @@ val set_trace : t -> Trace.t -> unit
 
 val bcast : t -> payload:string -> round:int -> unit
 
-val delivered_instances : t -> int
-
 val inject_gossip : t -> dst:int -> round:int -> payload:string -> unit
 (** Byzantine-attacker capability: gossip a chosen payload for this
     process's instance [(me, round)] to a single destination — the

@@ -69,9 +69,3 @@ let peek t =
     Some (top.prio, top.seq, top.value)
 
 let clear t = t.size <- 0
-
-let to_list_unordered t =
-  let rec loop i acc =
-    if i < 0 then acc else loop (i - 1) (t.data.(i).value :: acc)
-  in
-  loop (t.size - 1) []

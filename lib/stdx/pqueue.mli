@@ -24,7 +24,3 @@ val peek : 'a t -> (float * int * 'a) option
 (** Return the minimum element without removing it. *)
 
 val clear : 'a t -> unit
-
-val to_list_unordered : 'a t -> 'a list
-(** Snapshot of the contents in arbitrary order (for debugging and
-    invariant checks). *)
