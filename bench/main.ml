@@ -406,7 +406,7 @@ module Regress = struct
           fleet
             ~rule:Dagrider.Ordering.bullshark
             ~schedule:Harness.Runner.Synchronous ~backend:Harness.Runner.Bracha
-            ~n:10 ~until:30.0 () );
+            ~n:10 ~until:60.0 () );
       ( "bullshark.n10.fallback",
         fun () ->
           fleet
@@ -417,11 +417,11 @@ module Regress = struct
                    Net.Sched.delay_process
                      ~inner:(Net.Sched.uniform_random ~rng)
                      ~victim:0 ~factor:12.0))
-            ~backend:Harness.Runner.Bracha ~n:10 ~until:30.0 () );
+            ~backend:Harness.Runner.Bracha ~n:10 ~until:60.0 () );
       ( "dagrider.n10.sync",
         fun () ->
           fleet ~schedule:Harness.Runner.Synchronous
-            ~backend:Harness.Runner.Bracha ~n:10 ~until:30.0 () );
+            ~backend:Harness.Runner.Bracha ~n:10 ~until:60.0 () );
       ("critpath.n10.sync", critpath_sync);
       ("dag.paths", dag_paths) ]
 

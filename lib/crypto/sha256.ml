@@ -17,15 +17,6 @@ let k =
      0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
      0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
 
-type state = {
-  h : int32 array; (* 8 chaining words *)
-  buf : Bytes.t;   (* 64-byte block buffer *)
-  mutable buf_len : int;
-  mutable total : int64; (* total bytes fed *)
-}
-
-type ctx = { mutable st : state option }
-
 let initial_h () =
   [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
      0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
@@ -41,7 +32,7 @@ let compress h block off =
   let w = Array.make 64 0l in
   for t = 0 to 15 do
     let base = off + (t * 4) in
-    let b i = Int32.of_int (Char.code (Bytes.get block (base + i))) in
+    let b i = Int32.of_int (Char.code (String.get block (base + i))) in
     w.(t) <-
       Int32.logor
         (Int32.shift_left (b 0) 24)
@@ -87,60 +78,33 @@ let compress h block off =
   h.(6) <- h.(6) +% !g;
   h.(7) <- h.(7) +% !hh
 
-let fresh_state () =
-  { h = initial_h (); buf = Bytes.create 64; buf_len = 0; total = 0L }
-
-let feed_state st s =
+let digest_string s =
   let len = String.length s in
-  st.total <- Int64.add st.total (Int64.of_int len);
-  let pos = ref 0 in
-  (* fill the partial block first *)
-  if st.buf_len > 0 then begin
-    let take = min (64 - st.buf_len) len in
-    Bytes.blit_string s 0 st.buf st.buf_len take;
-    st.buf_len <- st.buf_len + take;
-    pos := take;
-    if st.buf_len = 64 then begin
-      compress st.h st.buf 0;
-      st.buf_len <- 0
-    end
-  end;
-  (* whole blocks directly from the input *)
-  let tmp = Bytes.create 64 in
-  while len - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress st.h tmp 0;
-    pos := !pos + 64
+  let h = initial_h () in
+  let whole = len / 64 in
+  for blk = 0 to whole - 1 do
+    compress h s (64 * blk)
   done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos st.buf 0 (len - !pos);
-    st.buf_len <- len - !pos
-  end
-
-let finalize_state st =
-  let bit_len = Int64.mul st.total 8L in
-  (* padding: 0x80, zeros, 8-byte big-endian bit length *)
-  let zeros =
-    let rem = (st.buf_len + 1) mod 64 in
-    if rem <= 56 then 56 - rem else 56 + 64 - rem
-  in
-  let tail = Bytes.create (1 + zeros + 8) in
-  Bytes.fill tail 0 (Bytes.length tail) '\000';
-  Bytes.set tail 0 '\x80';
+  (* padding: the trailing partial block, 0x80, zeros, and the 8-byte
+     big-endian bit length, in one block or two *)
+  let rest = len - (64 * whole) in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string s (64 * whole) tail 0 rest;
+  Bytes.set tail rest '\x80';
+  let bit_len = len * 8 in
   for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
     Bytes.set tail
-      (1 + zeros + i)
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xFFL)))
+      (tail_len - 8 + i)
+      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
-  feed_state st (Bytes.to_string tail);
-  assert (st.buf_len = 0);
+  let tail = Bytes.unsafe_to_string tail in
+  compress h tail 0;
+  if tail_len = 128 then compress h tail 64;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = st.h.(i) in
     let byte shift =
-      Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v shift) 0xFFl))
+      Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical h.(i) shift) 0xFFl))
     in
     Bytes.set out (4 * i) (byte 24);
     Bytes.set out ((4 * i) + 1) (byte 16);
@@ -148,25 +112,6 @@ let finalize_state st =
     Bytes.set out ((4 * i) + 3) (byte 0)
   done;
   Bytes.to_string out
-
-let init () = { st = Some (fresh_state ()) }
-
-let feed ctx s =
-  match ctx.st with
-  | None -> invalid_arg "Sha256.feed: context already finalized"
-  | Some st -> feed_state st s
-
-let finalize ctx =
-  match ctx.st with
-  | None -> invalid_arg "Sha256.finalize: context already finalized"
-  | Some st ->
-    ctx.st <- None;
-    finalize_state st
-
-let digest_string s =
-  let st = fresh_state () in
-  feed_state st s;
-  finalize_state st
 
 let to_hex d =
   let buf = Buffer.create 64 in

@@ -18,11 +18,3 @@ val to_hex : digest -> string
 val hmac : key:string -> string -> digest
 (** HMAC-SHA256 (FIPS 198-1); used by the modeled signature scheme in
     {!Auth} and by the threshold-coin PRF. *)
-
-type ctx
-(** Incremental hashing context. *)
-
-val init : unit -> ctx
-val feed : ctx -> string -> unit
-val finalize : ctx -> digest
-(** [finalize] consumes the context; feeding it afterwards raises. *)

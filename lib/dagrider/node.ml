@@ -75,7 +75,8 @@ type t = {
      claim, so a vertex this node cannot cross-check against its DAG
      needs byte-identical confirmation from f+1 distinct responders
      before admission (at most f are Byzantine, so one voucher is
-     honest). Keyed (round, source, digest) -> responders seen. *)
+     honest). Keyed (round, source, payload) -> responders seen; the
+     vertex codec is canonical, so equal payloads are equal vertices. *)
   sync_trusting : bool;
   sync_pending : (int * int * string, int list ref) Hashtbl.t;
 }
@@ -631,17 +632,12 @@ let admit_sync_vertex t ~src ~payload ~round ~source =
         let vr = Vertex.vref_of v in
         match Dag.find t.dag vr with
         | Some existing ->
-          (* the slot is occupied: a digest mismatch is a forgery (our
-             copy came through reliable broadcast), a match is old news *)
-          if Vertex.digest existing <> Vertex.digest v then
-            sync_reject t ~src ~round ~source "conflict"
+          (* the slot is occupied: a different vertex is a forgery (our
+             copy came through reliable broadcast), an equal one is old
+             news *)
+          if existing <> v then sync_reject t ~src ~round ~source "conflict"
         | None ->
-          let digest = Vertex.digest v in
-          let buffered_already =
-            List.exists
-              (fun b -> Vertex.vref_of b = vr && Vertex.digest b = digest)
-              t.buffer
-          in
+          let buffered_already = List.exists (fun b -> b = v) t.buffer in
           if not buffered_already then begin
             let need = if t.sync_trusting then 1 else t.config.f + 1 in
             if need <= 1 then begin
@@ -649,7 +645,7 @@ let admit_sync_vertex t ~src ~payload ~round ~source =
               try_advance t
             end
             else begin
-              let key = (round, source, digest) in
+              let key = (round, source, payload) in
               let responders =
                 match Hashtbl.find_opt t.sync_pending key with
                 | Some r -> r

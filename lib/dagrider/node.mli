@@ -38,7 +38,7 @@ type sync_msg =
     single peer's unauthenticated claim — so admission is hardened:
     each triple must pass the envelope check (source in range, round
     >= 1), decode, and {!Vertex.validate}; a triple whose
-    [(round, source)] slot is already occupied by a different digest is
+    [(round, source)] slot is already occupied by a different vertex is
     rejected as a forgery; and a vertex the node cannot cross-check
     locally is held until [f+1] {e distinct} responders vouch for
     byte-identical content (at most [f] are Byzantine, so at least one

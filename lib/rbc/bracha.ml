@@ -45,13 +45,17 @@ let decode_msg src =
 
 let msg_bits msg = Wire.bits (encode_msg msg)
 
+(* One vote bucket per distinct payload, with the processes that voted
+   for it. Only a process's first Echo and first Ready per instance are
+   counted, so each list holds at most n buckets. *)
+type bucket = { payload : string; mutable voters : Iset.t }
+
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  echoes : (string, Iset.t ref) Hashtbl.t; (* digest -> echoers *)
-  readies : (string, Iset.t ref) Hashtbl.t; (* digest -> ready senders *)
-  payloads : (string, string) Hashtbl.t; (* digest -> payload *)
+  mutable echoes : bucket list;
+  mutable readies : bucket list;
 }
 
 type t = {
@@ -79,9 +83,8 @@ let get_instance t key =
       { echoed = false;
         ready_sent = false;
         delivered = false;
-        echoes = Hashtbl.create 4;
-        readies = Hashtbl.create 4;
-        payloads = Hashtbl.create 4 }
+        echoes = [];
+        readies = [] }
     in
     Tbl.add t.instances key inst;
     inst
@@ -89,17 +92,19 @@ let get_instance t key =
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
 
-let add_voter table digest voter =
-  let set =
-    match Hashtbl.find_opt table digest with
-    | Some s -> s
-    | None ->
-      let s = ref Iset.empty in
-      Hashtbl.add table digest s;
-      s
-  in
-  set := Iset.add voter !set;
-  Iset.cardinal !set
+(* Counts [voter]'s vote for [payload] unless it already voted in this
+   list, and returns the votes the payload now has ([0] for an ignored
+   repeat). Payloads compare by value: a string the direct network
+   shares between receivers is a pointer compare, a copy decoded from
+   a lossy link a memcmp. *)
+let add_vote buckets voter payload =
+  if List.exists (fun b -> Iset.mem voter b.voters) buckets then (buckets, 0)
+  else
+    match List.find_opt (fun b -> String.equal b.payload payload) buckets with
+    | Some b ->
+      b.voters <- Iset.add voter b.voters;
+      (buckets, Iset.cardinal b.voters)
+    | None -> ({ payload; voters = Iset.singleton voter } :: buckets, 1)
 
 let send_echo t ~origin ~round ~payload =
   phase t ~origin ~round "echo";
@@ -116,17 +121,12 @@ let send_ready t inst ~origin ~round ~payload =
       ~bits:(msg_bits msg) msg
   end
 
-let try_deliver t inst ~origin ~round ~digest =
-  if not inst.delivered then
-    match Hashtbl.find_opt inst.readies digest with
-    | Some set when Iset.cardinal !set >= quorum t ->
-      (match Hashtbl.find_opt inst.payloads digest with
-      | Some payload ->
-        inst.delivered <- true;
-        phase t ~origin ~round "deliver";
-        t.deliver ~payload ~round ~source:origin
-      | None -> ())
-    | _ -> ()
+let try_deliver t inst ~origin ~round ~payload ~count =
+  if (not inst.delivered) && count >= quorum t then begin
+    inst.delivered <- true;
+    phase t ~origin ~round "deliver";
+    t.deliver ~payload ~round ~source:origin
+  end
 
 let handle t ~src msg =
   let sp = Prof.enter "rbc.bracha.recv" in
@@ -141,21 +141,17 @@ let handle t ~src msg =
     end
   | Echo { origin; round; payload } ->
     let inst = get_instance t (origin, round) in
-    let digest = Crypto.Sha256.digest_string payload in
-    if not (Hashtbl.mem inst.payloads digest) then
-      Hashtbl.add inst.payloads digest payload;
-    let count = add_voter inst.echoes digest src in
+    let echoes, count = add_vote inst.echoes src payload in
+    inst.echoes <- echoes;
     if count >= quorum t then
       send_ready t inst ~origin ~round ~payload
   | Ready { origin; round; payload } ->
     let inst = get_instance t (origin, round) in
-    let digest = Crypto.Sha256.digest_string payload in
-    if not (Hashtbl.mem inst.payloads digest) then
-      Hashtbl.add inst.payloads digest payload;
-    let count = add_voter inst.readies digest src in
+    let readies, count = add_vote inst.readies src payload in
+    inst.readies <- readies;
     if count >= amplify t then
       send_ready t inst ~origin ~round ~payload;
-    try_deliver t inst ~origin ~round ~digest
+    try_deliver t inst ~origin ~round ~payload ~count
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 

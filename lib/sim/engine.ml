@@ -19,36 +19,37 @@ let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) f
 
-let step t =
-  (* the span covers the pop and clock bookkeeping too, so profiled
-     coverage charges the full per-event cost to the engine *)
+(* Runs the next event unless the queue is empty or the event lies
+   beyond [until]. The span covers the peek, the pop and the clock
+   bookkeeping too, so profiled coverage charges the full per-event
+   cost to the engine. *)
+let dispatch t ~until =
   let sp = Prof.enter "engine.dispatch" in
   let stepped =
     try
-      match Stdx.Pqueue.pop t.queue with
-      | None -> false
-      | Some (time, _, f) ->
-        t.clock <- time;
-        t.executed <- t.executed + 1;
-        f ();
-        true
+      match Stdx.Pqueue.peek t.queue with
+      | Some (time, _, _) when time > until ->
+        t.clock <- until;
+        false
+      | _ -> (
+        match Stdx.Pqueue.pop t.queue with
+        | None -> false
+        | Some (time, _, f) ->
+          t.clock <- time;
+          t.executed <- t.executed + 1;
+          f ();
+          true)
     with e -> Prof.leave_reraise sp e
   in
   Prof.leave sp;
   stepped
 
+let step t = dispatch t ~until:infinity
+
 let run t ?(max_events = max_int) ?(until = infinity) () =
   let rec loop count =
-    if count >= max_events then count
-    else
-      match Stdx.Pqueue.peek t.queue with
-      | None -> count
-      | Some (time, _, _) when time > until ->
-        t.clock <- until;
-        count
-      | Some _ ->
-        ignore (step t);
-        loop (count + 1)
+    if count < max_events && dispatch t ~until then loop (count + 1)
+    else count
   in
   loop 0
 

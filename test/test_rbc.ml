@@ -253,6 +253,52 @@ let test_bracha_fplus1_faults_stall () =
   ignore (Sim.Engine.run engine ());
   Array.iter (fun log -> checki "no delivery" 0 (List.length !log)) deliveries
 
+let test_bracha_vote_flood () =
+  (* Byzantine p3 sends every process 1,000 distinct Echo and Ready
+     payloads for p0's instance. Only its first vote of each kind counts,
+     so the flood opens one bucket per kind and cannot push any payload
+     toward a quorum: the honest payload is delivered, no flood payload *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, eps = make_bracha_raw ~n ~f ~seed:11 in
+  Net.Network.register net 3 (fun ~src:_ _ -> ());
+  for i = 1 to 1000 do
+    let payload = Printf.sprintf "flood-%d" i in
+    Net.Network.broadcast net ~src:3 ~kind:"bracha-echo" ~bits:128
+      (Rbc.Bracha.Echo { origin = 0; round = 1; payload });
+    Net.Network.broadcast net ~src:3 ~kind:"bracha-ready" ~bits:128
+      (Rbc.Bracha.Ready { origin = 0; round = 1; payload })
+  done;
+  Rbc.Bracha.bcast eps.(0) ~payload:"honest" ~round:1;
+  ignore (Sim.Engine.run engine ());
+  for i = 0 to 2 do
+    match !(deliveries.(i)) with
+    | [ (p, 1, 0) ] -> checks (Printf.sprintf "p%d delivers" i) "honest" p
+    | _ -> Alcotest.fail (Printf.sprintf "p%d: expected one delivery" i)
+  done
+
+let test_bracha_second_ready_not_counted () =
+  (* p0 is the only live process; Readies for p1's instance are injected
+     one at a time. Byzantine p3's first Ready names a forged payload,
+     its second the honest one: the second must not count, or p3 plus
+     one honest Ready would reach f+1, p0 would amplify, and its own
+     Ready would complete a 2f+1 quorum with a single honest vote *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, _ = make_bracha_raw ~n ~f ~seed:12 in
+  List.iter (fun i -> Net.Network.register net i (fun ~src:_ _ -> ())) [ 1; 2; 3 ];
+  let ready ~src payload =
+    Net.Network.send net ~src ~dst:0 ~kind:"bracha-ready" ~bits:128
+      (Rbc.Bracha.Ready { origin = 1; round = 1; payload });
+    ignore (Sim.Engine.run engine ())
+  in
+  ready ~src:3 "forged";
+  ready ~src:3 "honest";
+  ready ~src:1 "honest";
+  checki "one honest Ready is not enough" 0 (List.length !(deliveries.(0)));
+  ready ~src:2 "honest";
+  match !(deliveries.(0)) with
+  | [ (p, 1, 1) ] -> checks "two honest Readies amplify and deliver" "honest" p
+  | _ -> Alcotest.fail "expected exactly one delivery"
+
 (* -- AVID-specific tests -- *)
 
 let test_avid_inconsistent_dispersal_discarded () =
@@ -448,7 +494,10 @@ let () =
             test_bracha_integrity_duplicate_init;
           Alcotest.test_case "f silent tolerated" `Quick
             test_bracha_silent_faults_tolerated;
-          Alcotest.test_case "f+1 silent stalls" `Quick test_bracha_fplus1_faults_stall
+          Alcotest.test_case "f+1 silent stalls" `Quick test_bracha_fplus1_faults_stall;
+          Alcotest.test_case "vote flood" `Quick test_bracha_vote_flood;
+          Alcotest.test_case "second ready not counted" `Quick
+            test_bracha_second_ready_not_counted
         ] );
       ( "avid",
         [ Alcotest.test_case "inconsistent dispersal discarded" `Quick
