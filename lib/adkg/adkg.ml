@@ -12,7 +12,7 @@ type dealing = {
   mutable commitment : string array option;
   mutable my_share : int option; (* verified against the commitment *)
   mutable pending_share : int option; (* arrived before the commitment *)
-  mutable ackers : Iset.t;
+  ackers : Voters.t;
   mutable acked : bool;
   mutable recovery_points : (int * int) list; (* verified (x, y) pairs *)
   mutable recover_requested : bool;
@@ -27,7 +27,7 @@ type t = {
   on_key : key:int -> qualified:int list -> unit;
   mutable my_poly : int array; (* degree f; coeffs.(0) is my secret *)
   dealings : (int, dealing) Hashtbl.t;
-  mutable certified : Iset.t;
+  certified : Voters.t; (* dealers with 2f+1 acks *)
   mutable vaba : Baselines.Vaba.t option;
   mutable vaba_started : bool;
   mutable qualified : int list option;
@@ -45,7 +45,7 @@ let dealing t dealer =
       { commitment = None;
         my_share = None;
         pending_share = None;
-        ackers = Iset.empty;
+        ackers = Voters.create t.n;
         acked = false;
         recovery_points = [];
         recover_requested = false }
@@ -138,7 +138,7 @@ let verify_and_store t ~dealer (d : dealing) =
   | _ -> ()
 
 let maybe_start_vaba t =
-  if Iset.cardinal t.certified >= t.f + 1 && not t.vaba_started then begin
+  if Voters.count t.certified >= t.f + 1 && not t.vaba_started then begin
     t.vaba_started <- true;
     match t.vaba with Some v -> Baselines.Vaba.start v | None -> ()
   end
@@ -161,11 +161,9 @@ let handle t ~src msg =
   | Deal _ -> ()
   | Ack { dealer } ->
     let d = dealing t dealer in
-    d.ackers <- Iset.add src d.ackers;
-    if Iset.cardinal d.ackers >= (2 * t.f) + 1 then begin
-      t.certified <- Iset.add dealer t.certified;
-      maybe_start_vaba t
-    end
+    ignore (Voters.add d.ackers src);
+    if Voters.count d.ackers >= (2 * t.f) + 1 && Voters.add t.certified dealer
+    then maybe_start_vaba t
   | Recover_req { dealer } -> (
     let d = dealing t dealer in
     match d.my_share with
@@ -209,7 +207,7 @@ let create ~net ~vaba_net ~auth ~bootstrap_coin ~rng ~me ~f ~on_key () =
       on_key;
       my_poly = Array.init (f + 1) (fun _ -> Stdx.Rng.int rng Crypto.Field.p);
       dealings = Hashtbl.create 16;
-      certified = Iset.empty;
+      certified = Voters.create n;
       vaba = None;
       vaba_started = false;
       qualified = None;
@@ -222,7 +220,7 @@ let create ~net ~vaba_net ~auth ~bootstrap_coin ~rng ~me ~f ~on_key () =
       (Baselines.Vaba.create ~net:vaba_net ~auth ~coin:bootstrap_coin ~me ~f
          ~tag:424_242
          ~valid:(fun v -> set_of_string ~n ~f v <> None)
-         ~proposal:(fun ~me:_ -> set_to_string (Iset.elements t.certified))
+         ~proposal:(fun ~me:_ -> set_to_string (Voters.elements t.certified))
          ~decide:(fun ~value ~view:_ -> on_vaba_decide t ~value)
          ());
   t

@@ -33,7 +33,13 @@
     (documented substitution, DESIGN.md §2) — the {e output} key is
     dealer-free, which is what the DAG-Rider deployment consumes. *)
 
-type msg
+type msg =
+  | Commit of { dealer : int; commitment : string array }
+  | Deal of { dealer : int; share : int }
+  | Ack of { dealer : int }
+  | Recover_req of { dealer : int }
+  | Recover_share of { dealer : int; x : int; y : int }
+(** Exposed so tests can inject Byzantine traffic directly. *)
 
 type t
 

@@ -27,11 +27,11 @@ let encode_msg msg =
 let msg_bits msg = Wire.bits (encode_msg msg)
 
 type round_state = {
-  mutable bval_received : Iset.t * Iset.t; (* senders for false, true *)
+  bval_received : Voters.t * Voters.t; (* senders for false, true *)
   mutable bval_sent : bool * bool; (* relayed false / true *)
   mutable bin_values : bool list;
   mutable aux_sent : bool;
-  mutable aux_received : (int * bool) list; (* sender, value *)
+  aux_received : bool Tally.t; (* first AUX per sender *)
   mutable done_ : bool;
 }
 
@@ -39,6 +39,7 @@ type t = {
   net : msg Net.Network.t;
   coin : Crypto.Threshold_coin.t;
   me : int;
+  n : int;
   f : int;
   tag : int;
   decide_cb : bool -> unit;
@@ -48,7 +49,7 @@ type t = {
   mutable decided : bool option;
   mutable halted : bool;
   mutable started : bool;
-  mutable decided_senders : Iset.t * Iset.t; (* Decided senders per value *)
+  decided_senders : Voters.t * Voters.t; (* Decided senders per value *)
 }
 
 let round_state t r =
@@ -56,11 +57,11 @@ let round_state t r =
   | Some st -> st
   | None ->
     let st =
-      { bval_received = (Iset.empty, Iset.empty);
+      { bval_received = (Voters.create t.n, Voters.create t.n);
         bval_sent = (false, false);
         bin_values = [];
         aux_sent = false;
-        aux_received = [];
+        aux_received = Tally.create t.n;
         done_ = false }
     in
     Hashtbl.add t.rounds r st;
@@ -124,17 +125,10 @@ let rec try_progress t ~round =
     (* step 3: 2f+1 AUX from distinct senders, all carrying values that
        made it into bin_values *)
     if (not st.done_) && st.aux_sent then begin
-      let valid =
-        List.filter (fun (_, v) -> List.mem v st.bin_values) st.aux_received
-      in
-      let senders =
-        List.sort_uniq compare (List.map fst valid)
-      in
-      if List.length senders >= quorum t then begin
+      let aux v = Tally.count st.aux_received ~equal:Bool.equal v in
+      let vals = List.filter (fun v -> aux v > 0) st.bin_values in
+      if List.fold_left (fun acc v -> acc + aux v) 0 vals >= quorum t then begin
         st.done_ <- true;
-        let vals =
-          List.sort_uniq compare (List.map snd valid)
-        in
         let c = coin_bit t ~round in
         (match vals with
         | [ v ] ->
@@ -160,9 +154,9 @@ let handle t ~src msg =
   match msg with
   | Decided { value } ->
     let df, dt = t.decided_senders in
-    let set = Iset.add src (if value then dt else df) in
-    t.decided_senders <- (if value then (df, set) else (set, dt));
-    let count = Iset.cardinal set in
+    let set = if value then dt else df in
+    ignore (Voters.add set src);
+    let count = Voters.count set in
     (* f+1 distinct deciders include a correct one: safe to adopt *)
     if count >= t.f + 1 then announce_decide t value;
     (* 2f+1: every correct process will reach f+1 without us *)
@@ -171,9 +165,8 @@ let handle t ~src msg =
     let st = round_state t round in
     let rf, rt = st.bval_received in
     let set = if value then rt else rf in
-    let set = Iset.add src set in
-    st.bval_received <- (if value then (rf, set) else (set, rt));
-    let count = Iset.cardinal set in
+    ignore (Voters.add set src);
+    let count = Voters.count set in
     (* f+1: a correct process backs the value — relay it *)
     if count >= t.f + 1 then send_bval t ~round ~value;
     (* 2f+1: the value is anchored — it may be AUXed and decided *)
@@ -184,16 +177,16 @@ let handle t ~src msg =
     try_progress t ~round
   | Aux { round; value } ->
     let st = round_state t round in
-    if not (List.mem_assoc src st.aux_received) then begin
-      st.aux_received <- (src, value) :: st.aux_received;
+    if Tally.vote st.aux_received ~equal:Bool.equal ~voter:src value > 0 then
       try_progress t ~round
-    end
 
 let create ~net ~coin ~me ~f ~tag ~decide () =
+  let n = Net.Network.n net in
   let t =
     { net;
       coin;
       me;
+      n;
       f;
       tag;
       decide_cb = decide;
@@ -203,7 +196,7 @@ let create ~net ~coin ~me ~f ~tag ~decide () =
       decided = None;
       halted = false;
       started = false;
-      decided_senders = (Iset.empty, Iset.empty) }
+      decided_senders = (Voters.create n, Voters.create n) }
   in
   Net.Network.register net me (fun ~src msg -> handle t ~src msg);
   t

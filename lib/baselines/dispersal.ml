@@ -86,7 +86,7 @@ let msg_bits msg = Wire.bits (encode_msg msg)
 
 type dispersal_state = {
   mutable my_frag : (int * string * Crypto.Merkle.proof) option;
-  mutable stored_acks : Iset.t; (* as the disperser: who confirmed *)
+  stored_acks : Voters.t; (* as the disperser: who confirmed *)
   mutable cert_cb : (cert -> unit) option;
   mutable refragged : bool;
   (* [Pending] until enough fragments; [Done payload] afterwards;
@@ -119,7 +119,7 @@ let state t key =
   | None ->
     let s =
       { my_frag = None;
-        stored_acks = Iset.empty;
+        stored_acks = Voters.create t.n;
         cert_cb = None;
         refragged = false;
         outcome = Pending;
@@ -175,12 +175,12 @@ let handle t ~src msg =
     end
   | Stored { id; root; data_len } ->
     let st = state t (id, root, data_len) in
-    st.stored_acks <- Iset.add src st.stored_acks;
-    if Iset.cardinal st.stored_acks >= (2 * t.f) + 1 then begin
+    ignore (Voters.add st.stored_acks src);
+    if Voters.count st.stored_acks >= (2 * t.f) + 1 then begin
       match st.cert_cb with
       | Some cb ->
         st.cert_cb <- None;
-        cb { id; root; data_len; signers = Iset.elements st.stored_acks }
+        cb { id; root; data_len; signers = Voters.elements st.stored_acks }
       | None -> ()
     end
   | Recast_request { id; root; data_len } ->

@@ -73,16 +73,17 @@ let encode_msg ~quorum msg =
 type view_state = {
   mutable my_value : string;
   mutable my_stage : int; (* stage currently collecting acks for; 0 = not started *)
-  mutable acks : Iset.t; (* acks for my current stage *)
+  mutable acks : Voters.t; (* acks for my current stage *)
   (* promoter -> (highest stage acked, its value): our key/lock/commit
      memory, reported at view change *)
   promotions : (int, int * string) Hashtbl.t;
-  mutable dones : Iset.t;
+  dones : Voters.t; (* promoters that completed stage 4 *)
   mutable shares : Crypto.Threshold_coin.share list;
   mutable share_sent : bool;
   mutable leader : int option;
   mutable vc_sent : bool;
-  mutable vc_reports : (int * int * string option) list; (* reporter, stage, value *)
+  vc_reporters : Voters.t;
+  mutable vc_reports : (int * string option) list; (* stage, value *)
   mutable vc_resolved : bool;
   mutable adopted : bool; (* my_value was adopted from a leader: keep it *)
 }
@@ -108,16 +109,17 @@ let quorum t = (2 * t.f) + 1
 
 let coin_instance t ~view = (t.tag * 1_000_003) + view
 
-let fresh_view_state value =
+let fresh_view_state t value =
   { my_value = value;
     my_stage = 0;
-    acks = Iset.empty;
+    acks = Voters.create t.n;
     promotions = Hashtbl.create 8;
-    dones = Iset.empty;
+    dones = Voters.create t.n;
     shares = [];
     share_sent = false;
     leader = None;
     vc_sent = false;
+    vc_reporters = Voters.create t.n;
     vc_reports = [];
     vc_resolved = false;
     adopted = false }
@@ -128,13 +130,13 @@ let view_state t view =
   | None ->
     (* created on demand: messages for future views arrive early; the
        proposal is overwritten with the adopted value when we enter it *)
-    let vs = fresh_view_state (t.proposal ~me:t.me) in
+    let vs = fresh_view_state t (t.proposal ~me:t.me) in
     Hashtbl.add t.views view vs;
     vs
 
 let broadcast_stage t vs ~view ~stage =
   vs.my_stage <- stage;
-  vs.acks <- Iset.empty;
+  vs.acks <- Voters.create t.n;
   let msg = Stage { view; stage; promoter = t.me; value = vs.my_value } in
   Net.Network.broadcast t.net ~src:t.me ~kind:"vaba-stage"
     ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
@@ -164,11 +166,11 @@ let do_decide t ~value ~view =
   end
 
 let resolve_view_change t vs ~view =
-  if (not vs.vc_resolved) && List.length vs.vc_reports >= quorum t then begin
+  if (not vs.vc_resolved) && Voters.count vs.vc_reporters >= quorum t then begin
     vs.vc_resolved <- true;
     let best =
       List.fold_left
-        (fun acc (_, stage, value) ->
+        (fun acc (stage, value) ->
           match (acc, value) with
           | Some (bs, _), Some v when stage > bs -> Some (stage, v)
           | None, Some v when stage > 0 -> Some (stage, v)
@@ -233,8 +235,8 @@ let handle t ~src msg =
     | Ack { view; stage; promoter } when promoter = t.me ->
       let vs = view_state t view in
       if stage = vs.my_stage then begin
-        vs.acks <- Iset.add src vs.acks;
-        if Iset.cardinal vs.acks >= quorum t then
+        ignore (Voters.add vs.acks src);
+        if Voters.count vs.acks >= quorum t then
           if stage < 4 then broadcast_stage t vs ~view ~stage:(stage + 1)
           else begin
             vs.my_stage <- 5;
@@ -247,8 +249,8 @@ let handle t ~src msg =
     | Ack _ -> ()
     | Done { view; promoter } ->
       let vs = view_state t view in
-      vs.dones <- Iset.add promoter vs.dones;
-      if Iset.cardinal vs.dones >= quorum t && not vs.share_sent then begin
+      ignore (Voters.add vs.dones promoter);
+      if Voters.count vs.dones >= quorum t && not vs.share_sent then begin
         vs.share_sent <- true;
         (* the coin is flipped only after 2f+1 promotions completed *)
         let share =
@@ -268,8 +270,10 @@ let handle t ~src msg =
       end
     | View_change { view; leader = _; stage_seen; value } ->
       let vs = view_state t view in
-      vs.vc_reports <- (src, stage_seen, value) :: vs.vc_reports;
-      resolve_view_change t vs ~view
+      if Voters.add vs.vc_reporters src then begin
+        vs.vc_reports <- (stage_seen, value) :: vs.vc_reports;
+        resolve_view_change t vs ~view
+      end
     | Decide { value; view } -> do_decide t ~value ~view
 
 let create ~net ~auth ~coin ~me ~f ~tag ?(valid = fun _ -> true) ~proposal ~decide () =

@@ -26,7 +26,15 @@
     fairness-relevant property — {e only the elected leader's value is
     decided}, everyone else must re-propose. *)
 
-type msg
+type msg =
+  | Stage of { view : int; stage : int; promoter : int; value : string }
+  | Ack of { view : int; stage : int; promoter : int }
+  | Done of { view : int; promoter : int }
+  | Coin_share of { view : int; share : Crypto.Threshold_coin.share }
+  | View_change of
+      { view : int; leader : int; stage_seen : int; value : string option }
+  | Decide of { value : string; view : int }
+(** Exposed so tests can inject Byzantine traffic directly. *)
 
 type t
 

@@ -101,14 +101,16 @@ let msg_bits msg = Wire.bits (encode_msg msg)
    and cannot poison the honest one. *)
 type commit = { root : string; data_len : int }
 
+let same_commit a b = a.data_len = b.data_len && String.equal a.root b.root
+
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
   mutable discarded : bool;
   fragments : (commit, (int, string) Hashtbl.t) Hashtbl.t;
-  echoers : (commit, Iset.t ref) Hashtbl.t;
-  readies : (commit, Iset.t ref) Hashtbl.t;
+  echoes : commit Tally.t;
+  readies : commit Tally.t;
 }
 
 type t = {
@@ -141,26 +143,14 @@ let get_instance t key =
         delivered = false;
         discarded = false;
         fragments = Hashtbl.create 4;
-        echoers = Hashtbl.create 4;
-        readies = Hashtbl.create 4 }
+        echoes = Tally.create t.n;
+        readies = Tally.create t.n }
     in
     Tbl.add t.instances key inst;
     inst
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
-
-let add_voter table commit voter =
-  let set =
-    match Hashtbl.find_opt table commit with
-    | Some s -> s
-    | None ->
-      let s = ref Iset.empty in
-      Hashtbl.add table commit s;
-      s
-  in
-  set := Iset.add voter !set;
-  Iset.cardinal !set
 
 let store_fragment inst ~commit ~frag_index ~frag =
   let frags =
@@ -191,37 +181,36 @@ let send_ready t inst ~origin ~round ~commit =
   end
 
 let try_deliver t inst ~origin ~round ~commit =
-  if (not inst.delivered) && not inst.discarded then
-    match Hashtbl.find_opt inst.readies commit with
-    | Some set when Iset.cardinal !set >= quorum t -> begin
-      match Hashtbl.find_opt inst.fragments commit with
-      | Some frags when Hashtbl.length frags >= t.k -> begin
-        let pieces =
-          Hashtbl.fold (fun i frag acc -> (i, frag) :: acc) frags []
-        in
-        match
-          Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len pieces
-        with
-        | exception Invalid_argument _ ->
+  if
+    (not inst.delivered) && (not inst.discarded)
+    && Tally.count inst.readies ~equal:same_commit commit >= quorum t
+  then
+    match Hashtbl.find_opt inst.fragments commit with
+    | Some frags when Hashtbl.length frags >= t.k -> begin
+      let pieces =
+        Hashtbl.fold (fun i frag acc -> (i, frag) :: acc) frags []
+      in
+      match
+        Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len pieces
+      with
+      | exception Invalid_argument _ ->
+        inst.discarded <- true;
+        phase t ~origin ~round "discard"
+      | payload ->
+        (* re-encode and check the committed root: rejects Byzantine
+           non-codeword dispersals deterministically, so every correct
+           process makes the same deliver/discard decision *)
+        let re_frags = Crypto.Reed_solomon.encode t.coder payload in
+        let tree = Crypto.Merkle.build re_frags in
+        if String.equal (Crypto.Merkle.root tree) commit.root then begin
+          inst.delivered <- true;
+          phase t ~origin ~round "deliver";
+          t.deliver ~payload ~round ~source:origin
+        end
+        else begin
           inst.discarded <- true;
           phase t ~origin ~round "discard"
-        | payload ->
-          (* re-encode and check the committed root: rejects Byzantine
-             non-codeword dispersals deterministically, so every correct
-             process makes the same deliver/discard decision *)
-          let re_frags = Crypto.Reed_solomon.encode t.coder payload in
-          let tree = Crypto.Merkle.build re_frags in
-          if String.equal (Crypto.Merkle.root tree) commit.root then begin
-            inst.delivered <- true;
-            phase t ~origin ~round "deliver";
-            t.deliver ~payload ~round ~source:origin
-          end
-          else begin
-            inst.discarded <- true;
-            phase t ~origin ~round "discard"
-          end
-      end
-      | _ -> ()
+        end
     end
     | _ -> ()
 
@@ -250,14 +239,14 @@ let handle t ~src msg =
     let inst = get_instance t (origin, round) in
     if valid_fragment t ~commit ~frag ~proof ~frag_index then begin
       store_fragment inst ~commit ~frag_index ~frag;
-      let count = add_voter inst.echoers commit src in
+      let count = Tally.vote inst.echoes ~equal:same_commit ~voter:src commit in
       if count >= quorum t then send_ready t inst ~origin ~round ~commit;
       try_deliver t inst ~origin ~round ~commit
     end
   | Ready { origin; round; root; data_len } ->
     let commit = { root; data_len } in
     let inst = get_instance t (origin, round) in
-    let count = add_voter inst.readies commit src in
+    let count = Tally.vote inst.readies ~equal:same_commit ~voter:src commit in
     if count >= amplify t then send_ready t inst ~origin ~round ~commit;
     try_deliver t inst ~origin ~round ~commit
    with e -> Prof.leave_reraise sp e);

@@ -21,7 +21,12 @@
     The re-encoding check is what makes reconstruction independent of
     which [f+1] fragments a process happens to hold: a committed vector
     either is a codeword (all subsets give the same polynomial) or no
-    subset's reconstruction can re-produce the committed root. *)
+    subset's reconstruction can re-produce the committed root.
+
+    Echo and Ready votes are counted per commitment [(root, data_len)]
+    in a {!Rbc_intf.Tally}: only a sender's first valid [Echo] and first
+    [Ready] per instance count, as in Bracha, so a Byzantine sender
+    cannot vote for two commitments. *)
 
 type msg =
   | Disperse of {

@@ -45,22 +45,21 @@ let decode_msg src =
 
 let msg_bits msg = Wire.bits (encode_msg msg)
 
-(* One vote bucket per distinct payload, with the processes that voted
-   for it. Only a process's first Echo and first Ready per instance are
-   counted, so each list holds at most n buckets. *)
-type bucket = { payload : string; mutable voters : Iset.t }
-
+(* Votes are counted per payload, compared by value: a string the direct
+   network shares between receivers is a pointer compare, a copy decoded
+   from a lossy link a memcmp. *)
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  mutable echoes : bucket list;
-  mutable readies : bucket list;
+  echoes : string Tally.t;
+  readies : string Tally.t;
 }
 
 type t = {
   net : msg Net.Port.t;
   me : int;
+  n : int;
   f : int;
   deliver : deliver;
   instances : instance Tbl.t;
@@ -83,28 +82,14 @@ let get_instance t key =
       { echoed = false;
         ready_sent = false;
         delivered = false;
-        echoes = [];
-        readies = [] }
+        echoes = Tally.create t.n;
+        readies = Tally.create t.n }
     in
     Tbl.add t.instances key inst;
     inst
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
-
-(* Counts [voter]'s vote for [payload] unless it already voted in this
-   list, and returns the votes the payload now has ([0] for an ignored
-   repeat). Payloads compare by value: a string the direct network
-   shares between receivers is a pointer compare, a copy decoded from
-   a lossy link a memcmp. *)
-let add_vote buckets voter payload =
-  if List.exists (fun b -> Iset.mem voter b.voters) buckets then (buckets, 0)
-  else
-    match List.find_opt (fun b -> String.equal b.payload payload) buckets with
-    | Some b ->
-      b.voters <- Iset.add voter b.voters;
-      (buckets, Iset.cardinal b.voters)
-    | None -> ({ payload; voters = Iset.singleton voter } :: buckets, 1)
 
 let send_echo t ~origin ~round ~payload =
   phase t ~origin ~round "echo";
@@ -141,16 +126,14 @@ let handle t ~src msg =
     end
   | Echo { origin; round; payload } ->
     let inst = get_instance t (origin, round) in
-    let echoes, count = add_vote inst.echoes src payload in
-    inst.echoes <- echoes;
-    if count >= quorum t then
-      send_ready t inst ~origin ~round ~payload
+    let count = Tally.vote inst.echoes ~equal:String.equal ~voter:src payload in
+    if count >= quorum t then send_ready t inst ~origin ~round ~payload
   | Ready { origin; round; payload } ->
     let inst = get_instance t (origin, round) in
-    let readies, count = add_vote inst.readies src payload in
-    inst.readies <- readies;
-    if count >= amplify t then
-      send_ready t inst ~origin ~round ~payload;
+    let count =
+      Tally.vote inst.readies ~equal:String.equal ~voter:src payload
+    in
+    if count >= amplify t then send_ready t inst ~origin ~round ~payload;
     try_deliver t inst ~origin ~round ~payload ~count
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
@@ -159,6 +142,7 @@ let create_port ~port ~me ~f ~deliver =
   let t =
     { net = port;
       me;
+      n = Net.Port.n port;
       f;
       deliver;
       instances = Tbl.create 64;

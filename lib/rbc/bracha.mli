@@ -9,12 +9,13 @@
       same payload, a process broadcasts [Ready payload] (once);
     - on [2f+1] [Ready]s for the same payload it delivers that payload.
 
-    Votes are counted per payload, compared by value: no digest is
-    computed, since one that never leaves the process would only be a
-    second name for the payload. Only a sender's first [Echo] and first
-    [Ready] per instance count — a correct process sends each once — so
-    a Byzantine sender flooding distinct payloads opens at most one
-    bucket per kind and cannot shift a vote it already cast.
+    Votes are counted per payload, compared by value, in a
+    {!Rbc_intf.Tally}: no digest is computed, since one that never
+    leaves the process would only be a second name for the payload.
+    Only a sender's first [Echo] and first [Ready] per instance count —
+    a correct process sends each once — so a Byzantine sender flooding
+    distinct payloads opens at most one bucket per kind and cannot shift
+    a vote it already cast.
 
     Quorum intersection of the Echo stage prevents two correct processes
     from becoming ready for different payloads of an equivocating

@@ -49,20 +49,12 @@ let decode_msg src =
 
 let msg_bits msg = Wire.bits (encode_msg msg)
 
-type params = {
-  gossip_factor : float;
-  echo_sample : float;
-  ready_sample : float;
-  echo_threshold : float;
-  ready_threshold : float;
-}
-
-let default_params =
-  { gossip_factor = 3.0;
-    echo_sample = 4.0;
-    ready_sample = 4.0;
-    echo_threshold = 0.5;
-    ready_threshold = 0.33 }
+(* sample sizes as multiples of ln n, thresholds as sample fractions *)
+let gossip_factor = 3.0
+let echo_sample = 4.0
+let ready_sample = 4.0
+let echo_threshold = 0.5
+let ready_threshold = 0.33
 
 type instance = {
   mutable payload : string option;
@@ -71,8 +63,8 @@ type instance = {
   mutable echo_sent : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  echoes : (string, Iset.t ref) Hashtbl.t; (* digest -> echoers seen *)
-  readies : (string, Iset.t ref) Hashtbl.t;
+  echoes : string Tally.t; (* by digest *)
+  readies : string Tally.t;
   alt_payloads : (string, string) Hashtbl.t;
       (* digest -> payload for variants seen after first acceptance: the
          repair store a minority side of an equivocation converges from *)
@@ -117,29 +109,12 @@ let get_instance t key =
         echo_sent = false;
         ready_sent = false;
         delivered = false;
-        echoes = Hashtbl.create 4;
-        readies = Hashtbl.create 4;
+        echoes = Tally.create t.n;
+        readies = Tally.create t.n;
         alt_payloads = Hashtbl.create 2 }
     in
     Tbl.add t.instances key inst;
     inst
-
-let add_voter table digest voter =
-  let set =
-    match Hashtbl.find_opt table digest with
-    | Some s -> s
-    | None ->
-      let s = ref Iset.empty in
-      Hashtbl.add table digest s;
-      s
-  in
-  set := Iset.add voter !set;
-  Iset.cardinal !set
-
-let count_for table digest =
-  match Hashtbl.find_opt table digest with
-  | Some set -> Iset.cardinal !set
-  | None -> 0
 
 let send_sample t ~size ~kind ~bits msg =
   let peers = Stdx.Rng.sample_without_replacement t.rng ~k:size ~n:t.n in
@@ -156,21 +131,12 @@ let send_sample t ~size ~kind ~bits msg =
    justified the switch already carries delivery. *)
 let try_switch t inst =
   if not inst.delivered then
-    let committed =
-      Hashtbl.fold
-        (fun digest set acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            if
-              Some digest <> inst.accepted_digest
-              && Iset.cardinal !set >= t.ready_need
-              && Hashtbl.mem inst.alt_payloads digest
-            then Some digest
-            else None)
-        inst.readies None
-    in
-    match committed with
+    match
+      Tally.find inst.readies (fun digest votes ->
+          Some digest <> inst.accepted_digest
+          && votes >= t.ready_need
+          && Hashtbl.mem inst.alt_payloads digest)
+    with
     | None -> ()
     | Some digest ->
       inst.payload <- Some (Hashtbl.find inst.alt_payloads digest);
@@ -184,8 +150,8 @@ let progress t inst ~origin ~round =
   match inst.accepted_digest with
   | None -> ()
   | Some digest ->
-    let echo_count = count_for inst.echoes digest in
-    let ready_count = count_for inst.readies digest in
+    let echo_count = Tally.count inst.echoes ~equal:String.equal digest in
+    let ready_count = Tally.count inst.readies ~equal:String.equal digest in
     if
       (not inst.ready_sent)
       && (echo_count >= t.echo_need || ready_count >= t.ready_feedback)
@@ -243,25 +209,25 @@ let handle t ~src msg =
     end
   | Echo { origin; round; digest } ->
     let inst = get_instance t (origin, round) in
-    ignore (add_voter inst.echoes digest src);
+    ignore (Tally.vote inst.echoes ~equal:String.equal ~voter:src digest);
     progress t inst ~origin ~round
   | Ready { origin; round; digest } ->
     let inst = get_instance t (origin, round) in
-    ignore (add_voter inst.readies digest src);
+    ignore (Tally.vote inst.readies ~equal:String.equal ~voter:src digest);
     progress t inst ~origin ~round
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
-let create_port ~port ~rng ?(params = default_params) ~me ~f ~deliver () =
+let create_port ~port ~rng ~me ~f ~deliver =
   let n = Net.Port.n port in
-  let gossip_size = sample_size n params.gossip_factor in
-  let echo_size = sample_size n params.echo_sample in
-  let ready_size = sample_size n params.ready_sample in
+  let gossip_size = sample_size n gossip_factor in
+  let echo_size = sample_size n echo_sample in
+  let ready_size = sample_size n ready_sample in
   let echo_need =
-    max 1 (int_of_float (ceil (params.echo_threshold *. float_of_int echo_size)))
+    max 1 (int_of_float (ceil (echo_threshold *. float_of_int echo_size)))
   in
   let ready_need =
-    max 1 (int_of_float (ceil (params.ready_threshold *. float_of_int ready_size)))
+    max 1 (int_of_float (ceil (ready_threshold *. float_of_int ready_size)))
   in
   (* Byzantine floors for the degenerate small-n regime: when a sample
      covers the whole network the epidemic is just broadcast, and the
@@ -294,8 +260,8 @@ let create_port ~port ~rng ?(params = default_params) ~me ~f ~deliver () =
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
   t
 
-let create ~net ~rng ?params ~me ~f ~deliver () =
-  create_port ~port:(Net.Port.of_network net) ~rng ?params ~me ~f ~deliver ()
+let create ~net ~rng ~me ~f ~deliver =
+  create_port ~port:(Net.Port.of_network net) ~rng ~me ~f ~deliver
 
 let bcast t ~payload ~round =
   let sp = Prof.enter "rbc.gossip.bcast" in

@@ -4,20 +4,14 @@
     outputs [r_deliver_i (m, r, p_k)] with the abstraction's Agreement /
     Integrity / Validity guarantees. Implementations are message-type
     specific, but all expose the same [create]/[bcast] shape so the DAG
-    layer can be instantiated with any of them (Table 1 rows). *)
+    layer can be instantiated with any of them (Table 1 rows).
+
+    Every protocol here, RBC or baseline, decides by counting distinct
+    senders against [f+1] or [2f+1]: {!Voters} is that count, and
+    {!Tally} adds the first-vote rule for votes that name a value. *)
 
 type deliver = payload:string -> round:int -> source:int -> unit
 (** Upcall invoked exactly once per (source, round) instance. *)
-
-(** Wire-size accounting shared by the implementations: every message is
-    charged a fixed header (tags, identifiers, round numbers) plus its
-    variable-size payload in bits. *)
-
-let header_bits = 128
-
-let payload_bits s = 8 * String.length s
-
-let digest_bits = 256
 
 (** Instance keys: a reliable broadcast instance is identified by the
     originating process and its round number. *)
@@ -25,14 +19,74 @@ let digest_bits = 256
 module Key = struct
   type t = int * int (* origin, round *)
 
-  let equal (a : t) (b : t) = a = b
-  let hash = Hashtbl.hash
+  let equal ((o1, r1) : t) ((o2, r2) : t) = o1 = o2 && r1 = r2
+  let hash ((origin, round) : t) = (round * 65599) + origin
 end
 
 module Tbl = Hashtbl.Make (Key)
 
-(** Sets of process ids, used for quorum counting. *)
-module Iset = Set.Make (Int)
+(** The distinct process ids in [0, n) heard from: a byte per id plus a
+    running count, so [add] and [count] are O(1). *)
+module Voters = struct
+  type t = { seen : Bytes.t; mutable count : int }
+
+  let create n = { seen = Bytes.make n '\000'; count = 0 }
+
+  let mem t id =
+    id >= 0 && id < Bytes.length t.seen && Bytes.get t.seen id <> '\000'
+
+  (* [false], and nothing counted, for a repeat or an id outside [0, n) *)
+  let add t id =
+    let fresh = id >= 0 && id < Bytes.length t.seen && not (mem t id) in
+    if fresh then begin
+      Bytes.set t.seen id '\001';
+      t.count <- t.count + 1
+    end;
+    fresh
+
+  let count t = t.count
+
+  (* ascending *)
+  let elements t =
+    let rec go i acc =
+      if i < 0 then acc else go (i - 1) (if mem t i then i :: acc else acc)
+    in
+    go (Bytes.length t.seen - 1) []
+end
+
+(** Votes of one kind (Echo, Ready, ...) in one instance, one bucket per
+    distinct value. Only a process's first vote counts — a correct
+    process votes once per kind — so a Byzantine sender flooding
+    distinct values opens at most one bucket and cannot move a vote it
+    already cast; the list holds at most n buckets. *)
+module Tally = struct
+  type 'v bucket = { value : 'v; mutable votes : int }
+  type 'v t = { voters : Voters.t; mutable buckets : 'v bucket list }
+
+  let create n = { voters = Voters.create n; buckets = [] }
+
+  (* the votes [v] now has, or [0] when this vote is not counted *)
+  let vote t ~equal ~voter v =
+    if not (Voters.add t.voters voter) then 0
+    else
+      match List.find_opt (fun b -> equal b.value v) t.buckets with
+      | Some b ->
+        b.votes <- b.votes + 1;
+        b.votes
+      | None ->
+        t.buckets <- { value = v; votes = 1 } :: t.buckets;
+        1
+
+  let count t ~equal v =
+    match List.find_opt (fun b -> equal b.value v) t.buckets with
+    | Some b -> b.votes
+    | None -> 0
+
+  (* the most recently opened value whose bucket satisfies [p value votes] *)
+  let find t p =
+    List.find_map (fun b -> if p b.value b.votes then Some b.value else None)
+      t.buckets
+end
 
 (** Binary wire-format helpers shared by the protocol codecs. Every
     protocol message has an [encode_msg]/[decode_msg] pair; senders

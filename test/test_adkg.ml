@@ -8,13 +8,15 @@ let checki = Alcotest.(check int)
 
 type ceremony = {
   engine : Sim.Engine.t;
+  net : Adkg.msg Net.Network.t;
+  counters : Metrics.Counters.t;
   parties : Adkg.t array;
   keys : int option array;
   quals : int list option array;
 }
 
 let make_ceremony ?(seed = 3) ?(n = 4) ?(sched_wrap = fun s -> s)
-    ?(mute = []) () =
+    ?(mute = []) ?(start = true) () =
   let f = (n - 1) / 3 in
   let rng = Stdx.Rng.create seed in
   let engine = Sim.Engine.create () in
@@ -43,9 +45,9 @@ let make_ceremony ?(seed = 3) ?(n = 4) ?(sched_wrap = fun s -> s)
         Net.Network.register net i (fun ~src:_ _ -> ());
         Net.Network.register vaba_net i (fun ~src:_ _ -> ())
       end
-      else Adkg.start p)
+      else if start then Adkg.start p)
     parties;
-  { engine; parties; keys; quals }
+  { engine; net; counters; parties; keys; quals }
 
 let run c = ignore (Sim.Engine.run c.engine ~until:500.0 ())
 
@@ -182,6 +184,27 @@ let test_many_seeds_complete () =
         c.keys)
     [ 20; 21; 22; 23; 24; 25 ]
 
+let test_ack_dealers_out_of_range () =
+  (* 2f+1 Acks for dealers 4 and -1, which do not exist, must not
+     certify them: f+1 certified dealers would start p3's VABA on a
+     proposal no party accepts. Acks for two real dealers do start it.
+     Nobody is started, so the only traffic is what the test injects *)
+  let c = make_ceremony ~n:4 ~start:false () in
+  let acks dealers =
+    List.iter
+      (fun dealer ->
+        List.iter
+          (fun src ->
+            Net.Network.send c.net ~src ~dst:3 ~kind:"adkg-ack" ~bits:128
+              (Adkg.Ack { dealer }))
+          [ 0; 1; 2 ])
+      dealers;
+    run c;
+    List.mem_assoc "vaba-stage" (Metrics.Counters.bits_by_kind c.counters)
+  in
+  checkb "dealers outside [0, n) are not certified" false (acks [ 4; -1 ]);
+  checkb "two real dealers are" true (acks [ 0; 1 ])
+
 let () =
   Alcotest.run "adkg"
     [ ( "ceremony",
@@ -192,5 +215,7 @@ let () =
           Alcotest.test_case "silent dealers excluded" `Quick
             test_silent_dealers_excluded;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "ack dealers out of range" `Quick
+            test_ack_dealers_out_of_range;
           Alcotest.test_case "many seeds" `Slow test_many_seeds_complete ] )
     ]

@@ -127,6 +127,64 @@ let test_vaba_validity_predicate_blocks_invalid () =
       | None -> Alcotest.fail "should still decide (some view elects a good leader)")
     decisions
 
+(* Four VABA parties of which none is started, so the only traffic is
+   what a test injects into p0 *)
+let idle_vaba () =
+  let env = make_env ~n:4 () in
+  let net =
+    Net.Network.create ~engine:env.engine ~sched:env.sched
+      ~counters:env.counters ~n:4
+  in
+  let parties =
+    Array.init 4 (fun me ->
+        Baselines.Vaba.create ~net ~auth:env.auth ~coin:env.coin ~me ~f:env.f
+          ~tag:3
+          ~proposal:(fun ~me -> Printf.sprintf "value-%d" me)
+          ~decide:(fun ~value:_ ~view:_ -> ())
+          ())
+  in
+  let inject sent =
+    List.iter
+      (fun (src, msg) ->
+        Net.Network.send net ~src ~dst:0 ~kind:"vaba" ~bits:128 msg)
+      sent;
+    ignore (Sim.Engine.run env.engine ~until:300.0 ())
+  in
+  (env, parties, inject)
+
+let test_vaba_done_ids_out_of_range () =
+  (* Byzantine p3 sends p0 2f+1 Dones naming promoters 4, 5, 6 (and -1),
+     which do not exist: they must not count toward the 2f+1 completed
+     promotions that release p0's coin share. Dones from three real
+     promoters do release it *)
+  let env, _, inject = idle_vaba () in
+  let dones sent =
+    inject
+      (List.map
+         (fun (src, promoter) ->
+           (src, Baselines.Vaba.Done { view = 1; promoter }))
+         sent);
+    List.mem_assoc "vaba-coin" (Metrics.Counters.bits_by_kind env.counters)
+  in
+  checkb "ids outside [0, n) release no coin share" false
+    (dones [ (3, 4); (3, 5); (3, 6); (3, -1) ]);
+  checkb "three real promoters release it" true
+    (dones [ (1, 1); (2, 2); (3, 3) ])
+
+let test_vaba_view_change_reports_once () =
+  (* 2f+1 View_change reports from Byzantine p3 alone must not resolve
+     p0's view 1; reports from two more parties do, and p0 moves on *)
+  let _, parties, inject = idle_vaba () in
+  let report src =
+    ( src,
+      Baselines.Vaba.View_change
+        { view = 1; leader = 0; stage_seen = 0; value = None } )
+  in
+  inject [ report 3; report 3; report 3 ];
+  checki "one reporter resolves nothing" 1 (Baselines.Vaba.view parties.(0));
+  inject [ report 1; report 2 ];
+  checki "three reporters resolve view 1" 2 (Baselines.Vaba.view parties.(0))
+
 (* ---- Dispersal ---- *)
 
 let test_dispersal_cert_then_recast () =
@@ -333,7 +391,11 @@ let () =
           Alcotest.test_case "many seeds" `Slow test_vaba_many_seeds;
           Alcotest.test_case "f silent" `Quick test_vaba_with_f_silent;
           Alcotest.test_case "validity predicate" `Quick
-            test_vaba_validity_predicate_blocks_invalid ] );
+            test_vaba_validity_predicate_blocks_invalid;
+          Alcotest.test_case "done ids out of range" `Quick
+            test_vaba_done_ids_out_of_range;
+          Alcotest.test_case "view-change reports once" `Quick
+            test_vaba_view_change_reports_once ] );
       ( "dispersal",
         [ Alcotest.test_case "cert then recast" `Quick test_dispersal_cert_then_recast;
           Alcotest.test_case "cert roundtrip" `Quick test_dispersal_cert_roundtrip ] );

@@ -52,7 +52,7 @@ let make_fleet ?(seed = 9) ~backend ~n ~f () =
       let eps =
         Array.init n (fun me ->
             Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f
-              ~deliver:(deliver_to me) ())
+              ~deliver:(deliver_to me))
       in
       fun i ~payload ~round -> Rbc.Gossip.bcast eps.(i) ~payload ~round
   in
@@ -301,11 +301,10 @@ let test_bracha_second_ready_not_counted () =
 
 (* -- AVID-specific tests -- *)
 
-let test_avid_inconsistent_dispersal_discarded () =
-  let n = 4 and f = 1 in
+let make_avid_raw ~n ~f ~seed =
   let engine = Sim.Engine.create () in
   let counters = Metrics.Counters.create () in
-  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 11) in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create seed) in
   let net = Net.Network.create ~engine ~sched ~counters ~n in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
@@ -313,6 +312,11 @@ let test_avid_inconsistent_dispersal_discarded () =
         Rbc.Avid.create ~net ~me ~f ~deliver:(fun ~payload ~round ~source ->
             deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
   in
+  (engine, net, deliveries, eps)
+
+let test_avid_inconsistent_dispersal_discarded () =
+  let n = 4 and f = 1 in
+  let engine, _, deliveries, eps = make_avid_raw ~n ~f ~seed:11 in
   Rbc.Avid.bcast_inconsistent eps.(0) ~payload:"evil payload" ~round:1;
   ignore (Sim.Engine.run engine ());
   Array.iter
@@ -347,6 +351,71 @@ let test_avid_fragment_size_economy () =
     true
     (avid_bits * 2 < bracha_bits)
 
+(* The Echo (valid fragment and proof) and the Ready process [src]
+   would send for an n=4, k=2 dispersal of [payload] in [origin]'s
+   round-1 instance *)
+let avid_votes ~origin ~src payload =
+  let coder = Crypto.Reed_solomon.make ~k:2 ~n:4 in
+  let frags = Crypto.Reed_solomon.encode coder payload in
+  let tree = Crypto.Merkle.build frags in
+  let root = Crypto.Merkle.root tree and data_len = String.length payload in
+  ( Rbc.Avid.Echo
+      { origin;
+        round = 1;
+        root;
+        data_len;
+        frag_index = src;
+        frag = frags.(src);
+        proof = Crypto.Merkle.prove tree src },
+    Rbc.Avid.Ready { origin; round = 1; root; data_len } )
+
+let test_avid_vote_flood () =
+  (* Byzantine p3 sends every process 1,000 valid Echoes and Readies for
+     distinct dispersals of p0's instance: only its first vote of each
+     kind counts, and the honest payload is still the one delivered *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, eps = make_avid_raw ~n ~f ~seed:11 in
+  Net.Network.register net 3 (fun ~src:_ _ -> ());
+  for i = 1 to 1000 do
+    let echo, ready =
+      avid_votes ~origin:0 ~src:3 (Printf.sprintf "flood-%d" i)
+    in
+    Net.Network.broadcast net ~src:3 ~kind:"avid-echo" ~bits:128 echo;
+    Net.Network.broadcast net ~src:3 ~kind:"avid-ready" ~bits:128 ready
+  done;
+  Rbc.Avid.bcast eps.(0) ~payload:"honest" ~round:1;
+  ignore (Sim.Engine.run engine ());
+  for i = 0 to 2 do
+    match !(deliveries.(i)) with
+    | [ (p, 1, 0) ] -> checks (Printf.sprintf "p%d delivers" i) "honest" p
+    | _ -> Alcotest.fail (Printf.sprintf "p%d: expected one delivery" i)
+  done
+
+let test_avid_second_ready_not_counted () =
+  (* as for Bracha: p0 is the only live process and holds k = f+1
+     fragments of p1's dispersal from two Echoes (below the 2f+1 echo
+     quorum). Byzantine p3's second Ready, for the honest commitment,
+     must not count, or it and one honest Ready would reach f+1 *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, _ = make_avid_raw ~n ~f ~seed:12 in
+  List.iter (fun i -> Net.Network.register net i (fun ~src:_ _ -> ())) [ 1; 2; 3 ];
+  let send ~src msg =
+    Net.Network.send net ~src ~dst:0 ~kind:"avid" ~bits:128 msg;
+    ignore (Sim.Engine.run engine ())
+  in
+  let echo src = fst (avid_votes ~origin:1 ~src "honest") in
+  let honest = snd (avid_votes ~origin:1 ~src:1 "honest") in
+  send ~src:1 (echo 1);
+  send ~src:2 (echo 2);
+  send ~src:3 (snd (avid_votes ~origin:1 ~src:3 "forged"));
+  send ~src:3 honest;
+  send ~src:1 honest;
+  checki "one honest Ready is not enough" 0 (List.length !(deliveries.(0)));
+  send ~src:2 honest;
+  match !(deliveries.(0)) with
+  | [ (p, 1, 1) ] -> checks "two honest Readies amplify and deliver" "honest" p
+  | _ -> Alcotest.fail "expected exactly one delivery"
+
 (* -- gossip-specific tests -- *)
 
 let test_gossip_subquadratic_messages () =
@@ -379,6 +448,137 @@ let test_gossip_eventual_delivery_many_seeds () =
       in
       checki (Printf.sprintf "seed %d: all delivered" seed) n delivered)
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+(* n = 4: every sample covers the whole network, so Gossip's thresholds
+   are Bracha's (2f+1 echoes and readies, f+1 ready feedback) *)
+let make_gossip_raw ~n ~f ~seed =
+  let engine = Sim.Engine.create () in
+  let counters = Metrics.Counters.create () in
+  let rng = Stdx.Rng.create seed in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.split rng) in
+  let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let deliveries = Array.init n (fun _ -> ref []) in
+  let eps =
+    Array.init n (fun me ->
+        Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f
+          ~deliver:(fun ~payload ~round ~source ->
+            deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
+  in
+  (engine, net, deliveries, eps)
+
+let test_gossip_vote_flood () =
+  (* Byzantine p3 sends every process 1,000 distinct Echo and Ready
+     digests for p0's instance: only its first vote of each kind counts,
+     and the honest payload is delivered *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, eps = make_gossip_raw ~n ~f ~seed:11 in
+  Net.Network.register net 3 (fun ~src:_ _ -> ());
+  for i = 1 to 1000 do
+    let digest = Crypto.Sha256.digest_string (Printf.sprintf "flood-%d" i) in
+    Net.Network.broadcast net ~src:3 ~kind:"gossip-echo" ~bits:128
+      (Rbc.Gossip.Echo { origin = 0; round = 1; digest });
+    Net.Network.broadcast net ~src:3 ~kind:"gossip-ready" ~bits:128
+      (Rbc.Gossip.Ready { origin = 0; round = 1; digest })
+  done;
+  Rbc.Gossip.bcast eps.(0) ~payload:"honest" ~round:1;
+  ignore (Sim.Engine.run engine ());
+  for i = 0 to 2 do
+    match !(deliveries.(i)) with
+    | [ (p, 1, 0) ] -> checks (Printf.sprintf "p%d delivers" i) "honest" p
+    | _ -> Alcotest.fail (Printf.sprintf "p%d: expected one delivery" i)
+  done
+
+let test_gossip_second_ready_not_counted () =
+  (* as for Bracha: p0 is the only live process and holds p1's payload.
+     Byzantine p3's second Ready, for the honest digest, must not count,
+     or it and one honest Ready would reach the f+1 feedback threshold *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, _ = make_gossip_raw ~n ~f ~seed:12 in
+  List.iter (fun i -> Net.Network.register net i (fun ~src:_ _ -> ())) [ 1; 2; 3 ];
+  let send ~src msg =
+    Net.Network.send net ~src ~dst:0 ~kind:"gossip" ~bits:128 msg;
+    ignore (Sim.Engine.run engine ())
+  in
+  let ready ~src payload =
+    let digest = Crypto.Sha256.digest_string payload in
+    send ~src (Rbc.Gossip.Ready { origin = 1; round = 1; digest })
+  in
+  send ~src:1 (Rbc.Gossip.Gossip { origin = 1; round = 1; payload = "honest" });
+  ready ~src:3 "forged";
+  ready ~src:3 "honest";
+  ready ~src:1 "honest";
+  checki "one honest Ready is not enough" 0 (List.length !(deliveries.(0)));
+  ready ~src:2 "honest";
+  match !(deliveries.(0)) with
+  | [ (p, 1, 1) ] -> checks "two honest Readies amplify and deliver" "honest" p
+  | _ -> Alcotest.fail "expected exactly one delivery"
+
+(* -- quorum counting against a reference model -- *)
+
+module Ref_set = Set.Make (Int)
+
+(* A random n and a stream of (voter, value) votes: ids run past both
+   ends of [0, n) and repeat, values come from a few distinct ones *)
+let gen_votes =
+  QCheck.Gen.(
+    let* n = int_range 1 12 in
+    let vote = pair (int_range (-3) (n + 3)) (int_range 0 3) in
+    let* votes = list_size (int_range 0 60) vote in
+    return (n, votes))
+
+let print_votes (n, votes) =
+  Printf.sprintf "n=%d [%s]" n
+    (String.concat "; "
+       (List.map (fun (voter, v) -> Printf.sprintf "%d:%d" voter v) votes))
+
+(* The reference keeps the voters seen as a set and counts each value's
+   votes in an association list; only a voter's first vote counts, and
+   only for ids in [0, n). After every vote, [Voters] and [Tally] must
+   agree with it on every query. *)
+let prop_voters_tally =
+  QCheck.Test.make ~name:"Voters and Tally match a set-based reference"
+    ~count:500
+    (QCheck.make ~print:print_votes gen_votes)
+    (fun (n, votes) ->
+      let open Rbc.Rbc_intf in
+      let voters = Voters.create n in
+      let tally = Tally.create n in
+      let equal = Int.equal in
+      let ids = List.init (n + 8) (fun i -> i - 4) in
+      let values = [ 0; 1; 2; 3 ] in
+      let seen = ref Ref_set.empty and counts = ref [] in
+      let ref_count v = Option.value ~default:0 (List.assoc_opt v !counts) in
+      List.for_all
+        (fun (voter, v) ->
+          let fresh =
+            voter >= 0 && voter < n && not (Ref_set.mem voter !seen)
+          in
+          if fresh then begin
+            seen := Ref_set.add voter !seen;
+            counts := (v, ref_count v + 1) :: List.remove_assoc v !counts
+          end;
+          let expected_vote = if fresh then ref_count v else 0 in
+          let added = Voters.add voters voter in
+          let counted = Tally.vote tally ~equal ~voter v in
+          let elements = Voters.elements voters in
+          added = fresh
+          && counted = expected_vote
+          && Voters.count voters = Ref_set.cardinal !seen
+          && elements = Ref_set.elements !seen
+          && List.sort_uniq compare elements = elements
+          && List.for_all
+               (fun id -> Voters.mem voters id = Ref_set.mem id !seen)
+               ids
+          && List.for_all
+               (fun v -> Tally.count tally ~equal v = ref_count v)
+               values
+          && List.for_all
+               (fun k ->
+                 match Tally.find tally (fun _ votes -> votes >= k) with
+                 | Some v -> ref_count v >= k
+                 | None -> List.for_all (fun v -> ref_count v < k) values)
+               [ 1; 2; 3 ])
+        votes)
 
 (* -- wire codec property tests -- *)
 
@@ -502,12 +702,19 @@ let () =
       ( "avid",
         [ Alcotest.test_case "inconsistent dispersal discarded" `Quick
             test_avid_inconsistent_dispersal_discarded;
-          Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy ] );
+          Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy;
+          Alcotest.test_case "vote flood" `Quick test_avid_vote_flood;
+          Alcotest.test_case "second ready not counted" `Quick
+            test_avid_second_ready_not_counted ] );
       ( "gossip",
         [ Alcotest.test_case "subquadratic messages" `Quick
             test_gossip_subquadratic_messages;
           Alcotest.test_case "eventual delivery across seeds" `Quick
-            test_gossip_eventual_delivery_many_seeds ] );
+            test_gossip_eventual_delivery_many_seeds;
+          Alcotest.test_case "vote flood" `Quick test_gossip_vote_flood;
+          Alcotest.test_case "second ready not counted" `Quick
+            test_gossip_second_ready_not_counted ] );
+      ("quorum-counting", [ QCheck_alcotest.to_alcotest prop_voters_tally ]);
       ( "wire-codecs",
         [ QCheck_alcotest.to_alcotest prop_bracha_codec;
           QCheck_alcotest.to_alcotest prop_gossip_codec;
