@@ -379,8 +379,18 @@ module Regress = struct
   let scenarios =
     [ ( "bracha.n4",
         fun () -> fleet ~backend:Harness.Runner.Bracha ~n:4 ~until:60.0 () );
+      (* sha256_blocks counts every SHA-256 compression of the run
+         exactly: fragment verification, the delivery-time Merkle
+         rebuild and the coin, so hashing work that comes back (or
+         goes away) moves a Count *)
       ( "avid.n4",
-        fun () -> fleet ~backend:Harness.Runner.Avid ~n:4 ~until:40.0 () );
+        fun () ->
+          let b0 = Crypto.Sha256.blocks () in
+          let rows = fleet ~backend:Harness.Runner.Avid ~n:4 ~until:40.0 () in
+          rows
+          @ [ ( "sha256_blocks",
+                Count,
+                float_of_int (Crypto.Sha256.blocks () - b0) ) ] );
       ( "gossip.n4",
         fun () -> fleet ~backend:Harness.Runner.Gossip ~n:4 ~until:60.0 () );
       ( "bracha.n7.lossy",

@@ -18,6 +18,18 @@ let () =
     exp_table.(i) <- exp_table.(i - 255)
   done
 
+(* The full 256 x 256 product table, built once at module initialisation:
+   byte [(a lsl 8) lor b] is [a * b]. 64 KiB, shared by every coder. *)
+let mul_table =
+  let t = Bytes.make 65536 '\000' in
+  for a = 1 to 255 do
+    for b = 1 to 255 do
+      Bytes.unsafe_set t ((a lsl 8) lor b)
+        (Char.unsafe_chr exp_table.(log_table.(a) + log_table.(b)))
+    done
+  done;
+  Bytes.unsafe_to_string t
+
 let check a =
   if a < 0 || a > 255 then invalid_arg "Gf256: element out of range"
 

@@ -5,7 +5,12 @@
     This is the field underneath the Reed–Solomon erasure code used by
     the AVID broadcast instantiation (Cachin–Tessaro). Elements are
     represented as [int] in [\[0, 255\]]; operations outside that range
-    raise [Invalid_argument]. *)
+    raise [Invalid_argument].
+
+    The per-element operations below are range-checked and meant for
+    small computations (coefficients, tests). Bulk coding goes through
+    {!mul_table}, which {!Reed_solomon}'s inner loops read without
+    bounds checks. *)
 
 val add : int -> int -> int
 (** Addition = XOR (characteristic 2). *)
@@ -27,3 +32,10 @@ val pow : int -> int -> int
 val eval_poly : int array -> int -> int
 (** [eval_poly coeffs x] evaluates the polynomial
     [coeffs.(0) + coeffs.(1)*x + ...] by Horner's rule. *)
+
+val mul_table : string
+(** The full product table: [Char.code mul_table.[(a lsl 8) lor b]]
+    is [mul a b] for all [a], [b] in [\[0, 255\]]. 64 KiB, computed once
+    from the log/antilog tables when the module is initialised; a
+    [string], so no caller can corrupt it. {!Reed_solomon.encode} and
+    {!Reed_solomon.decode} read one 256-byte row of it per coefficient. *)

@@ -14,6 +14,29 @@ type proof = {
       (** Sibling digests from the leaf's level up to (excluding) the root. *)
 }
 
+val leaf_digest : string -> string
+(** The 32-byte digest a leaf's payload enters the tree as
+    (domain-separated from inner nodes). *)
+
+type memo
+(** Inner-node hashes of one tree shape, remembered by position: a node
+    is hashed again only when its two children differ from the last pair
+    hashed at that position. Pure memoisation — every answer is the same
+    with or without a memo — for a caller that checks many proofs
+    against one root (the AVID Echoes of one commitment) and then
+    rebuilds that root. Mutable; not for sharing between threads. *)
+
+val memo : leaf_count:int -> memo
+(** An empty memo for trees over [leaf_count] leaves.
+    @raise Invalid_argument if [leaf_count <= 0]. *)
+
+val of_leaf_digests : ?memo:memo -> string array -> tree
+(** Build a tree over already-hashed leaves: [build l] is
+    [of_leaf_digests (Array.map leaf_digest l)]. Lets a caller that has
+    just verified a leaf reuse its digest instead of hashing the payload
+    again. @raise Invalid_argument on an empty array, or if [memo] was
+    made for another leaf count. *)
+
 val build : string array -> tree
 (** Build a tree over the given leaves (payload bytes, hashed internally).
     Odd levels duplicate the last node, so any positive arity works.
@@ -31,3 +54,10 @@ val prove : tree -> int -> proof
 val verify : root:string -> leaf_count:int -> leaf:string -> proof -> bool
 (** [verify ~root ~leaf_count ~leaf proof] checks that [leaf]'s payload
     sits at [proof.leaf_index] in a tree with the given root and size. *)
+
+val verify_digest :
+  ?memo:memo -> root:string -> leaf_count:int -> leaf_digest:string ->
+  proof -> bool
+(** {!verify} for a leaf given by its {!leaf_digest}: [verify ~leaf] is
+    [verify_digest ~leaf_digest:(leaf_digest leaf)].
+    @raise Invalid_argument if [memo] was made for another leaf count. *)

@@ -6,17 +6,22 @@ type coder = {
   parity : int array array;
 }
 
-(* Lagrange basis coefficient L_i(x) over sample points xs. *)
+(* [a * b] from the product table, unchecked: callers pass field
+   elements, i.e. ints in [0, 255] *)
+let[@inline] mul a b =
+  Char.code (String.unsafe_get Gf256.mul_table ((a lsl 8) lor b))
+
+(* Lagrange basis coefficient L_i(x) over sample points xs, all field
+   elements (they are fragment indices below n <= 256) *)
 let lagrange_coeff xs i x =
   let xi = xs.(i) in
   let num = ref 1 and den = ref 1 in
-  Array.iteri
-    (fun m xm ->
-      if m <> i then begin
-        num := Gf256.mul !num (Gf256.sub x xm);
-        den := Gf256.mul !den (Gf256.sub xi xm)
-      end)
-    xs;
+  for m = 0 to Array.length xs - 1 do
+    if m <> i then begin
+      num := mul !num (x lxor xs.(m));
+      den := mul !den (xi lxor xs.(m))
+    end
+  done;
   Gf256.div !num !den
 
 let make ~k ~n =
@@ -33,21 +38,39 @@ let make ~k ~n =
 let fragment_length c ~data_len =
   if data_len <= 0 then 1 else (data_len + c.k - 1) / c.k
 
+(* [dst.[dst_off + j] <- dst.[dst_off + j] xor (coeff * src.[src_off + j])]
+   for every [j < len], one row of {!Gf256.mul_table} at a time. The
+   reads and writes are unchecked: every caller passes offsets and
+   lengths inside both buffers, and [coeff] in [\[0, 255\]]. *)
+let mul_xor ~dst ~dst_off ~src ~src_off ~len coeff =
+  if coeff <> 0 then begin
+    let row = coeff lsl 8 in
+    for j = 0 to len - 1 do
+      let p =
+        String.unsafe_get Gf256.mul_table
+          (row lor Char.code (Bytes.unsafe_get src (src_off + j)))
+      in
+      Bytes.unsafe_set dst (dst_off + j)
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get dst (dst_off + j)) lxor Char.code p))
+    done
+  end
+
 let encode c data =
-  let flen = fragment_length c ~data_len:(String.length data) in
+  let data_len = String.length data in
+  let flen = fragment_length c ~data_len in
   let padded = Bytes.make (flen * c.k) '\000' in
-  Bytes.blit_string data 0 padded 0 (String.length data);
+  Bytes.blit_string data 0 padded 0 data_len;
   let fragment i =
     if i < c.k then Bytes.sub_string padded (i * flen) flen
     else begin
-      let coeffs = c.parity.(i - c.k) in
-      String.init flen (fun j ->
-          let acc = ref 0 in
-          for d = 0 to c.k - 1 do
-            let byte = Char.code (Bytes.get padded ((d * flen) + j)) in
-            acc := Gf256.add !acc (Gf256.mul coeffs.(d) byte)
-          done;
-          Char.chr !acc)
+      let out = Bytes.make flen '\000' in
+      Array.iteri
+        (fun d coeff ->
+          mul_xor ~dst:out ~dst_off:0 ~src:padded ~src_off:(d * flen) ~len:flen
+            coeff)
+        c.parity.(i - c.k);
+      Bytes.unsafe_to_string out
     end
   in
   Array.init c.n fragment
@@ -75,22 +98,18 @@ let decode c ~data_len fragments =
         invalid_arg "Reed_solomon.decode: inconsistent fragment length")
     chosen;
   let xs = Array.map fst chosen in
-  (* coefficients to re-evaluate the interpolating polynomial at the data
-     points 0 .. k-1 *)
-  let coeff_rows =
-    Array.init c.k (fun target ->
-        Array.init c.k (fun i -> lagrange_coeff xs i target))
-  in
-  let padded = Bytes.create (flen * c.k) in
+  (* re-evaluate the interpolating polynomial at the data points
+     0 .. k-1, writing only the bytes that survive the truncation to
+     [data_len] *)
+  let out = Bytes.make data_len '\000' in
   for target = 0 to c.k - 1 do
-    let coeffs = coeff_rows.(target) in
-    for j = 0 to flen - 1 do
-      let acc = ref 0 in
-      for i = 0 to c.k - 1 do
-        let _, frag = chosen.(i) in
-        acc := Gf256.add !acc (Gf256.mul coeffs.(i) (Char.code frag.[j]))
-      done;
-      Bytes.set padded ((target * flen) + j) (Char.chr !acc)
-    done
+    let len = min flen (data_len - (target * flen)) in
+    if len > 0 then
+      Array.iteri
+        (fun i (_, frag) ->
+          mul_xor ~dst:out ~dst_off:(target * flen)
+            ~src:(Bytes.unsafe_of_string frag) ~src_off:0 ~len
+            (lagrange_coeff xs i target))
+        chosen
   done;
-  Bytes.sub_string padded 0 data_len
+  Bytes.unsafe_to_string out

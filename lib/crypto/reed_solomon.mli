@@ -11,7 +11,15 @@
     fragments are rejected upstream by Merkle proofs, so this module only
     handles {e erasures}, as in the Cachin–Tessaro protocol.
 
-    Constraint: [0 < k <= n <= 256] (field size). *)
+    Constraint: [0 < k <= n <= 256] (field size).
+
+    Both directions are linear maps with per-coder (encode) or
+    per-subset (decode) Lagrange coefficients; the per-byte work reads
+    one 256-byte row of {!Gf256.mul_table} per coefficient, without
+    bounds checks, and XORs it into a [Bytes] output. The log-table coder
+    this replaced — one checked {!Gf256.mul} per byte — lives on as the
+    reference model in [test/rs_model.ml], and a QCheck property holds
+    the two byte-equal at every [k <= n <= 31]. *)
 
 type coder
 (** Precomputed encoding matrix for a fixed [(k, n)]. *)
@@ -29,8 +37,9 @@ val encode : coder -> string -> string array
 
 val decode : coder -> data_len:int -> (int * string) list -> string
 (** [decode c ~data_len fragments] reconstructs the original data from at
-    least [k] fragments given as [(index, bytes)] pairs. Extra fragments
-    beyond [k] are ignored.
+    least [k] fragments given as [(index, bytes)] pairs. Only the first
+    pair for each index counts, and of those only the [k] lowest indices
+    are used; the rest are ignored.
     @raise Invalid_argument if fewer than [k] distinct valid indices are
     supplied, if an index is out of range, or if fragment lengths are
     inconsistent with [data_len]. *)

@@ -36,15 +36,18 @@ let make_share t ~holder ~instance =
     invalid_arg "Threshold_coin.make_share: bad holder";
   { holder; instance; value = Field.mul t.keys.(holder) (hash_instance instance) }
 
-let verify_share t share =
+(* [share] is [holder]'s share for an instance whose hash is [h] *)
+let share_matches t share h =
   share.holder >= 0 && share.holder < t.n
-  && share.value = Field.mul t.keys.(share.holder) (hash_instance share.instance)
+  && share.value = Field.mul t.keys.(share.holder) h
+
+let verify_share t share = share_matches t share (hash_instance share.instance)
 
 let combine t ~instance shares =
+  (* every share counted is for [instance]: hash it once per call *)
+  let h = hash_instance instance in
   let valid =
-    List.filter
-      (fun s -> s.instance = instance && verify_share t s)
-      shares
+    List.filter (fun s -> s.instance = instance && share_matches t s h) shares
   in
   let dedup = List.sort_uniq (fun a b -> compare a.holder b.holder) valid in
   if List.length dedup < t.f + 1 then None

@@ -103,12 +103,20 @@ type commit = { root : string; data_len : int }
 
 let same_commit a b = a.data_len = b.data_len && String.equal a.root b.root
 
+(* What one commitment has gathered: fragment index -> (fragment, the
+   leaf digest it was verified with), and the inner-node hashes its
+   proofs and its root rebuild share *)
+type slot = {
+  frags : (int, string * string) Hashtbl.t;
+  memo : Crypto.Merkle.memo;
+}
+
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
   mutable discarded : bool;
-  fragments : (commit, (int, string) Hashtbl.t) Hashtbl.t;
+  slots : (commit, slot) Hashtbl.t;  (* emptied once finished *)
   echoes : commit Tally.t;
   readies : commit Tally.t;
 }
@@ -142,7 +150,7 @@ let get_instance t key =
         ready_sent = false;
         delivered = false;
         discarded = false;
-        fragments = Hashtbl.create 4;
+        slots = Hashtbl.create 4;
         echoes = Tally.create t.n;
         readies = Tally.create t.n }
     in
@@ -152,22 +160,45 @@ let get_instance t key =
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
 
-let store_fragment inst ~commit ~frag_index ~frag =
-  let frags =
-    match Hashtbl.find_opt inst.fragments commit with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add inst.fragments commit h;
-      h
-  in
-  if not (Hashtbl.mem frags frag_index) then Hashtbl.add frags frag_index frag
+(* Delivering or discarding needs 2f+1 counted Readies, so this
+   process's own Ready has already gone out by then: nothing a later
+   Echo carries can change a message or a decision. A finished instance
+   ignores Echoes and keeps no fragments. *)
+let finished inst = inst.delivered || inst.discarded
 
-let valid_fragment t ~commit ~frag ~proof ~frag_index =
-  frag_index = proof.Crypto.Merkle.leaf_index
-  && String.length frag
-     = Crypto.Reed_solomon.fragment_length t.coder ~data_len:commit.data_len
-  && Crypto.Merkle.verify ~root:commit.root ~leaf_count:t.n ~leaf:frag proof
+let finish inst ~delivered =
+  if delivered then inst.delivered <- true else inst.discarded <- true;
+  Hashtbl.reset inst.slots
+
+(* Check that [frag]'s proof places it at [frag_index] under [commit];
+   if so, keep it with its leaf digest (unless the instance is
+   finished). A commitment gets a slot only once a fragment verifies *)
+let accept_fragment t inst ~commit ~frag ~proof ~frag_index =
+  if
+    frag_index <> proof.Crypto.Merkle.leaf_index
+    || String.length frag
+       <> Crypto.Reed_solomon.fragment_length t.coder ~data_len:commit.data_len
+  then false
+  else begin
+    let known = Hashtbl.find_opt inst.slots commit in
+    let slot =
+      match known with
+      | Some slot -> slot
+      | None ->
+        { frags = Hashtbl.create 8; memo = Crypto.Merkle.memo ~leaf_count:t.n }
+    in
+    let leaf = Crypto.Merkle.leaf_digest frag in
+    let ok =
+      Crypto.Merkle.verify_digest ~memo:slot.memo ~root:commit.root
+        ~leaf_count:t.n ~leaf_digest:leaf proof
+    in
+    if ok && not (finished inst) then begin
+      if Option.is_none known then Hashtbl.add inst.slots commit slot;
+      if not (Hashtbl.mem slot.frags frag_index) then
+        Hashtbl.add slot.frags frag_index (frag, leaf)
+    end;
+    ok
+  end
 
 let send_ready t inst ~origin ~round ~commit =
   if not inst.ready_sent then begin
@@ -182,33 +213,45 @@ let send_ready t inst ~origin ~round ~commit =
 
 let try_deliver t inst ~origin ~round ~commit =
   if
-    (not inst.delivered) && (not inst.discarded)
+    (not (finished inst))
     && Tally.count inst.readies ~equal:same_commit commit >= quorum t
   then
-    match Hashtbl.find_opt inst.fragments commit with
-    | Some frags when Hashtbl.length frags >= t.k -> begin
+    match Hashtbl.find_opt inst.slots commit with
+    | Some { frags; memo } when Hashtbl.length frags >= t.k -> begin
       let pieces =
-        Hashtbl.fold (fun i frag acc -> (i, frag) :: acc) frags []
+        Hashtbl.fold (fun i (frag, _) acc -> (i, frag) :: acc) frags []
       in
       match
         Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len pieces
       with
       | exception Invalid_argument _ ->
-        inst.discarded <- true;
+        finish inst ~delivered:false;
         phase t ~origin ~round "discard"
       | payload ->
         (* re-encode and check the committed root: rejects Byzantine
            non-codeword dispersals deterministically, so every correct
-           process makes the same deliver/discard decision *)
+           process makes the same deliver/discard decision. A stored
+           fragment's verified leaf digest stands in for hashing the
+           re-encoded one only where the two are byte-equal, and inner
+           nodes whose children the proofs already hashed come from
+           the memo *)
         let re_frags = Crypto.Reed_solomon.encode t.coder payload in
-        let tree = Crypto.Merkle.build re_frags in
+        let leaves =
+          Array.mapi
+            (fun i frag ->
+              match Hashtbl.find_opt frags i with
+              | Some (stored, leaf) when String.equal stored frag -> leaf
+              | _ -> Crypto.Merkle.leaf_digest frag)
+            re_frags
+        in
+        let tree = Crypto.Merkle.of_leaf_digests ~memo leaves in
         if String.equal (Crypto.Merkle.root tree) commit.root then begin
-          inst.delivered <- true;
+          finish inst ~delivered:true;
           phase t ~origin ~round "deliver";
           t.deliver ~payload ~round ~source:origin
         end
         else begin
-          inst.discarded <- true;
+          finish inst ~delivered:false;
           phase t ~origin ~round "discard"
         end
     end
@@ -225,10 +268,9 @@ let handle t ~src msg =
     if
       frag_index = t.me
       && (not inst.echoed)
-      && valid_fragment t ~commit ~frag ~proof ~frag_index
+      && accept_fragment t inst ~commit ~frag ~proof ~frag_index
     then begin
       inst.echoed <- true;
-      store_fragment inst ~commit ~frag_index ~frag;
       phase t ~origin ~round "echo";
       let msg = Echo { origin; round; root; data_len; frag_index; frag; proof } in
       Net.Port.broadcast t.net ~src:t.me ~kind:"avid-echo"
@@ -237,8 +279,10 @@ let handle t ~src msg =
   | Echo { origin; round; root; data_len; frag_index; frag; proof } ->
     let commit = { root; data_len } in
     let inst = get_instance t (origin, round) in
-    if valid_fragment t ~commit ~frag ~proof ~frag_index then begin
-      store_fragment inst ~commit ~frag_index ~frag;
+    if
+      (not (finished inst))
+      && accept_fragment t inst ~commit ~frag ~proof ~frag_index
+    then begin
       let count = Tally.vote inst.echoes ~equal:same_commit ~voter:src commit in
       if count >= quorum t then send_ready t inst ~origin ~round ~commit;
       try_deliver t inst ~origin ~round ~commit

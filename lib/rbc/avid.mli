@@ -23,6 +23,14 @@
     either is a codeword (all subsets give the same polynomial) or no
     subset's reconstruction can re-produce the committed root.
 
+    Each stored fragment keeps the Merkle leaf digest it was verified
+    with; the root rebuild at delivery reuses that digest wherever the
+    re-encoded fragment is byte-equal to the stored one, and hashes
+    every other leaf. A delivered or discarded instance ignores further
+    Echoes (no proof check, no store) and frees its fragments: deciding
+    needed [2f+1] Readies, so this process's own Ready is already out
+    and no later Echo can change a message or a decision.
+
     Echo and Ready votes are counted per commitment [(root, data_len)]
     in a {!Rbc_intf.Tally}: only a sender's first valid [Echo] and first
     [Ready] per instance count, as in Bracha, so a Byzantine sender

@@ -63,9 +63,8 @@ let assemble_block t =
 
 let retire_block t block =
   let mine = ref 0 in
-  List.iter
-    (fun tx ->
-      let k = key_of tx in
+  Txgen.iter_keys block (fun owner seqno ->
+      let k = (owner, seqno) in
       if Hashtbl.mem t.inflight k then begin
         Hashtbl.remove t.inflight k;
         incr mine
@@ -74,8 +73,7 @@ let retire_block t block =
       (* remember foreign transactions too: a client that multi-submits
          must not get its transaction ordered twice through us *)
       if not (Hashtbl.mem t.seen k) then Hashtbl.add t.seen k ();
-      t.retired <- t.retired + 1)
-    (Txgen.block_txs block);
+      t.retired <- t.retired + 1);
   !mine
 
 let pending t = Queue.length t.queue

@@ -8,13 +8,34 @@ let record_sep = '\x1e'
 let tx_to_string tx =
   Printf.sprintf "%d%c%d%c%s" tx.owner field_sep tx.seqno field_sep tx.body
 
+(* the index of the first [c] in [s.[from .. stop-1]], or [stop] *)
+let rec find c s from stop =
+  if from >= stop || String.unsafe_get s from = c then from
+  else find c s (from + 1) stop
+
+(* The record at [s.[start .. stop-1]] is a transaction iff it has
+   exactly three fields split on [field_sep] and [int_of_string_opt]
+   reads the first two: then [f owner seqno lo], the body starting at
+   [lo]. Copies only the two counters. *)
+let parse_record s start stop f =
+  let a = find field_sep s start stop in
+  if a < stop then begin
+    let b = find field_sep s (a + 1) stop in
+    if b < stop && find field_sep s (b + 1) stop = stop then
+      match
+        ( int_of_string_opt (String.sub s start (a - start)),
+          int_of_string_opt (String.sub s (a + 1) (b - a - 1)) )
+      with
+      | Some owner, Some seqno -> f owner seqno (b + 1)
+      | _ -> ()
+  end
+
 let tx_of_string s =
-  match String.split_on_char field_sep s with
-  | [ owner; seqno; body ] -> (
-    match (int_of_string_opt owner, int_of_string_opt seqno) with
-    | Some owner, Some seqno -> Some { owner; seqno; body }
-    | _ -> None)
-  | _ -> None
+  let len = String.length s in
+  let tx = ref None in
+  parse_record s 0 len (fun owner seqno lo ->
+      tx := Some { owner; seqno; body = String.sub s lo (len - lo) });
+  !tx
 
 let tx_bytes ~body_bytes =
   (* "<owner>\x1f<seqno>\x1f<body>" with ~4-digit counters *)
@@ -42,7 +63,22 @@ let block_of_txs txs =
 let make_block g ~count =
   block_of_txs (List.init count (fun _ -> next_tx g))
 
+(* [f owner seqno lo hi] for every record of [block] (split on
+   [record_sep]) that is a transaction, in order, with its body at
+   [block.[lo .. hi-1]] *)
+let iter_records block f =
+  let len = String.length block in
+  let rec go start =
+    let stop = find record_sep block start len in
+    parse_record block start stop (fun owner seqno lo -> f owner seqno lo stop);
+    if stop < len then go (stop + 1)
+  in
+  if len > 0 then go 0
+
 let block_txs block =
-  if String.length block = 0 then []
-  else
-    List.filter_map tx_of_string (String.split_on_char record_sep block)
+  let txs = ref [] in
+  iter_records block (fun owner seqno lo hi ->
+      txs := { owner; seqno; body = String.sub block lo (hi - lo) } :: !txs);
+  List.rev !txs
+
+let iter_keys block f = iter_records block (fun owner seqno _ _ -> f owner seqno)

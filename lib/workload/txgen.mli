@@ -34,4 +34,9 @@ val block_txs : string -> tx list
 (** Parse a block back into transactions ([] for blocks produced
     elsewhere, e.g. the harness's padding blocks). *)
 
+val iter_keys : string -> (int -> int -> unit) -> unit
+(** [iter_keys block f] calls [f owner seqno] for each transaction of
+    [block_txs block], in order, without building the transactions:
+    what a mempool retiring a delivered block needs. *)
+
 val block_of_txs : tx list -> string

@@ -235,6 +235,52 @@ let prop_rs_any_k_subset =
       let pieces = List.map (fun i -> (i, frags.(i))) subset in
       Crypto.Reed_solomon.decode c ~data_len:(String.length data) pieces = data)
 
+(* The table-driven coder against the log-table model (test/rs_model.ml),
+   byte for byte, at every 1 <= k <= n <= 31: random data of 0..3000
+   bytes (so most lengths are not multiples of k), then a decode from a
+   random set of at least k distinct indices plus repeated ones — a
+   repeat carries either the true fragment or same-length garbage, and
+   both coders must keep whichever comes first *)
+let prop_rs_matches_model =
+  QCheck.Test.make ~name:"reed-solomon: fast path = log-table model, k <= n <= 31"
+    ~count:4 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let random_string len =
+        String.init len (fun _ -> Char.chr (Stdx.Rng.int rng 256))
+      in
+      for n = 1 to 31 do
+        for k = 1 to n do
+          let len = Stdx.Rng.int rng 3001 in
+          let data = random_string len in
+          let fast = Crypto.Reed_solomon.make ~k ~n
+          and model = Rs_model.make ~k ~n in
+          let frags = Crypto.Reed_solomon.encode fast data in
+          if frags <> Rs_model.encode model data then
+            QCheck.Test.fail_reportf "encode differs: k=%d n=%d len=%d" k n len;
+          let distinct =
+            Stdx.Rng.sample_without_replacement rng
+              ~k:(Stdx.Rng.int_in_range rng ~lo:k ~hi:n) ~n
+          in
+          let repeats =
+            List.filter_map
+              (fun i ->
+                if Stdx.Rng.int rng 4 > 0 then None
+                else if Stdx.Rng.bool rng then Some (i, frags.(i))
+                else Some (i, random_string (String.length frags.(i))))
+              distinct
+          in
+          let pieces =
+            Array.of_list (List.map (fun i -> (i, frags.(i))) distinct @ repeats)
+          in
+          Stdx.Rng.shuffle rng pieces;
+          let pieces = Array.to_list pieces in
+          let got = Crypto.Reed_solomon.decode fast ~data_len:len pieces in
+          if got <> Rs_model.decode model ~data_len:len pieces then
+            QCheck.Test.fail_reportf "decode differs: k=%d n=%d len=%d" k n len
+        done
+      done;
+      true)
+
 (* ---- Merkle ---- *)
 
 let leaves n = Array.init n (fun i -> Printf.sprintf "leaf-%d" i)
@@ -303,6 +349,107 @@ let test_merkle_roots_differ () =
   let b = Crypto.Merkle.build [| "leaf-0"; "leaf-1"; "leaf-2"; "other" |] in
   checkb "roots differ" false
     (String.equal (Crypto.Merkle.root a) (Crypto.Merkle.root b))
+
+(* the digest-level entry points agree with the payload-level ones:
+   same root, and the same verdict on the right leaf and on a wrong
+   leaf, a wrong index and a wrong root *)
+let prop_merkle_digest_api =
+  QCheck.Test.make ~name:"merkle: of_leaf_digests/verify_digest = build/verify"
+    ~count:100
+    QCheck.(pair (int_range 1 40) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Stdx.Rng.create seed in
+      let ls =
+        Array.init n (fun _ ->
+            String.init (Stdx.Rng.int rng 100) (fun _ ->
+                Char.chr (Stdx.Rng.int rng 256)))
+      in
+      let t = Crypto.Merkle.build ls in
+      let root = Crypto.Merkle.root t in
+      let t' =
+        Crypto.Merkle.of_leaf_digests (Array.map Crypto.Merkle.leaf_digest ls)
+      in
+      let agree ~root ~leaf proof =
+        Crypto.Merkle.verify ~root ~leaf_count:n ~leaf proof
+        = Crypto.Merkle.verify_digest ~root ~leaf_count:n
+            ~leaf_digest:(Crypto.Merkle.leaf_digest leaf) proof
+      in
+      String.equal (Crypto.Merkle.root t') root
+      && List.for_all
+           (fun i ->
+             let proof = Crypto.Merkle.prove t i in
+             let other = (i + 1 + Stdx.Rng.int rng n) mod n in
+             Crypto.Merkle.verify_digest ~root ~leaf_count:n
+               ~leaf_digest:(Crypto.Merkle.leaf_digest ls.(i)) proof
+             && agree ~root ~leaf:ls.(i) proof
+             && agree ~root ~leaf:(ls.(i) ^ "x") proof
+             && agree ~root ~leaf:ls.(i)
+                  { proof with Crypto.Merkle.leaf_index = other }
+             && agree ~root:(Crypto.Merkle.root (Crypto.Merkle.build [| "r" |]))
+                  ~leaf:ls.(i) proof)
+           (List.init n Fun.id))
+
+(* one memo threaded through a random mix of honest proofs, proofs with
+   a forged sibling, wrong leaves, wrong indices, and rebuilds over
+   partly replaced leaves: every answer equals the memo-less one *)
+let prop_merkle_memo_transparent =
+  QCheck.Test.make ~name:"merkle: a memo never changes an answer" ~count:100
+    QCheck.(pair (int_range 1 20) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Stdx.Rng.create seed in
+      let digest () =
+        Crypto.Merkle.leaf_digest (string_of_int (Stdx.Rng.int rng 4))
+      in
+      let leaves = Array.init n (fun _ -> digest ()) in
+      let t = Crypto.Merkle.of_leaf_digests leaves in
+      let root = Crypto.Merkle.root t in
+      let memo = Crypto.Merkle.memo ~leaf_count:n in
+      List.for_all
+        (fun _ ->
+          let i = Stdx.Rng.int rng n in
+          let proof = Crypto.Merkle.prove t i in
+          let proof =
+            match (Stdx.Rng.int rng 4, proof.Crypto.Merkle.path) with
+            | 0, _ :: rest -> { proof with Crypto.Merkle.path = digest () :: rest }
+            | 1, _ -> { proof with Crypto.Merkle.leaf_index = Stdx.Rng.int rng n }
+            | _ -> proof
+          in
+          let leaf = if Stdx.Rng.int rng 4 = 0 then digest () else leaves.(i) in
+          let mixed =
+            Array.map (fun d -> if Stdx.Rng.int rng 3 = 0 then digest () else d) leaves
+          in
+          Crypto.Merkle.verify_digest ~memo ~root ~leaf_count:n ~leaf_digest:leaf proof
+          = Crypto.Merkle.verify_digest ~root ~leaf_count:n ~leaf_digest:leaf proof
+          && String.equal
+               (Crypto.Merkle.root (Crypto.Merkle.of_leaf_digests ~memo mixed))
+               (Crypto.Merkle.root (Crypto.Merkle.of_leaf_digests mixed)))
+        (List.init 30 Fun.id))
+
+let test_merkle_memo_saves_hashing () =
+  (* after leaf 0's proof, leaf 1's shares every inner node: no hashing *)
+  let ls = Array.map Crypto.Merkle.leaf_digest (leaves 8) in
+  let t = Crypto.Merkle.of_leaf_digests ls in
+  let root = Crypto.Merkle.root t in
+  let memo = Crypto.Merkle.memo ~leaf_count:8 in
+  let verify i =
+    let b0 = Crypto.Sha256.blocks () in
+    let ok =
+      Crypto.Merkle.verify_digest ~memo ~root ~leaf_count:8 ~leaf_digest:ls.(i)
+        (Crypto.Merkle.prove t i)
+    in
+    (ok, Crypto.Sha256.blocks () - b0)
+  in
+  let ok0, first = verify 0 in
+  let ok1, second = verify 1 in
+  checkb "both verify" true (ok0 && ok1);
+  checki "first proof hashes 3 nodes of 2 blocks" 6 first;
+  checki "sibling proof hashes nothing" 0 second;
+  let b0 = Crypto.Sha256.blocks () in
+  ignore (Crypto.Merkle.of_leaf_digests ~memo ls);
+  checki "rebuild hashes the 4 unseen nodes" 8 (Crypto.Sha256.blocks () - b0);
+  Alcotest.check_raises "memo for another shape"
+    (Invalid_argument "Merkle: memo made for another leaf count") (fun () ->
+      ignore (Crypto.Merkle.of_leaf_digests ~memo (Array.sub ls 0 4)))
 
 let test_merkle_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Merkle.build: no leaves")
@@ -587,7 +734,8 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_rs_duplicate_indices_dont_count;
           Alcotest.test_case "empty payload" `Quick test_rs_empty_payload;
           Alcotest.test_case "bad params" `Quick test_rs_bad_params;
-          QCheck_alcotest.to_alcotest prop_rs_any_k_subset ] );
+          QCheck_alcotest.to_alcotest prop_rs_any_k_subset;
+          QCheck_alcotest.to_alcotest prop_rs_matches_model ] );
       ( "merkle",
         [ Alcotest.test_case "single leaf" `Quick test_merkle_single_leaf;
           Alcotest.test_case "all proofs verify" `Quick test_merkle_all_proofs_verify;
@@ -596,7 +744,11 @@ let () =
           Alcotest.test_case "wrong root" `Quick test_merkle_wrong_root_rejected;
           Alcotest.test_case "truncated path" `Quick test_merkle_truncated_path_rejected;
           Alcotest.test_case "roots differ" `Quick test_merkle_roots_differ;
-          Alcotest.test_case "empty rejected" `Quick test_merkle_empty_rejected ] );
+          Alcotest.test_case "empty rejected" `Quick test_merkle_empty_rejected;
+          QCheck_alcotest.to_alcotest prop_merkle_digest_api;
+          QCheck_alcotest.to_alcotest prop_merkle_memo_transparent;
+          Alcotest.test_case "memo saves hashing" `Quick
+            test_merkle_memo_saves_hashing ] );
       ( "field",
         [ QCheck_alcotest.to_alcotest prop_field_add_inverse;
           QCheck_alcotest.to_alcotest prop_field_mul_inverse;

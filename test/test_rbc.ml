@@ -416,6 +416,30 @@ let test_avid_second_ready_not_counted () =
   | [ (p, 1, 1) ] -> checks "two honest Readies amplify and deliver" "honest" p
   | _ -> Alcotest.fail "expected exactly one delivery"
 
+let test_avid_finished_instance_ignores_echoes () =
+  (* once p0's instance has delivered everywhere, replaying every Echo
+     of it to every process sends nothing, delivers nothing again and
+     hashes nothing: a finished instance skips the Merkle check *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, eps = make_avid_raw ~n ~f ~seed:13 in
+  Rbc.Avid.bcast eps.(0) ~payload:"honest" ~round:1;
+  ignore (Sim.Engine.run engine ());
+  Array.iter (fun log -> checki "delivered once" 1 (List.length !log)) deliveries;
+  let echoes =
+    List.init n (fun src -> (src, fst (avid_votes ~origin:0 ~src "honest")))
+  in
+  let before = Net.Network.delivered_count net in
+  let blocks = Crypto.Sha256.blocks () in
+  List.iter
+    (fun (src, echo) ->
+      Net.Network.broadcast net ~src ~kind:"avid-echo" ~bits:128 echo)
+    echoes;
+  ignore (Sim.Engine.run engine ());
+  checki "only the n * n replayed Echoes were delivered" (before + (n * n))
+    (Net.Network.delivered_count net);
+  checki "no hashing on a finished instance" blocks (Crypto.Sha256.blocks ());
+  Array.iter (fun log -> checki "no second delivery" 1 (List.length !log)) deliveries
+
 (* -- gossip-specific tests -- *)
 
 let test_gossip_subquadratic_messages () =
@@ -705,7 +729,9 @@ let () =
           Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy;
           Alcotest.test_case "vote flood" `Quick test_avid_vote_flood;
           Alcotest.test_case "second ready not counted" `Quick
-            test_avid_second_ready_not_counted ] );
+            test_avid_second_ready_not_counted;
+          Alcotest.test_case "finished instance ignores echoes" `Quick
+            test_avid_finished_instance_ignores_echoes ] );
       ( "gossip",
         [ Alcotest.test_case "subquadratic messages" `Quick
             test_gossip_subquadratic_messages;

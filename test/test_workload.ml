@@ -49,6 +49,42 @@ let test_foreign_block_parses_empty () =
     (List.map (fun _ -> true) (Workload.Txgen.block_txs "xxxxxyyyyy"));
   checki "empty block" 0 (List.length (Workload.Txgen.block_txs ""))
 
+(* The split-based parser the one-pass one replaced, as a reference:
+   split a block on the record separator, then each record on the field
+   separator; a record is a transaction iff it has exactly three fields
+   and both counters parse *)
+let model_tx_of_string s =
+  match String.split_on_char '\x1f' s with
+  | [ owner; seqno; body ] -> (
+    match (int_of_string_opt owner, int_of_string_opt seqno) with
+    | Some owner, Some seqno -> Some { Workload.Txgen.owner; seqno; body }
+    | _ -> None)
+  | _ -> None
+
+(* Random strings over an alphabet heavy in separators, signs, digits
+   and number prefixes, so malformed records of every kind show up *)
+let prop_block_parse_matches_split =
+  let alphabet = "\x1e\x1f\x1f0123456789-+_xob a" in
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1)))
+        (int_bound 60))
+  in
+  QCheck.Test.make ~name:"tx_of_string/block_txs/iter_keys = split parser" ~count:2000
+    (QCheck.make ~print:String.escaped gen) (fun block ->
+      let expected =
+        if block = "" then []
+        else List.filter_map model_tx_of_string (String.split_on_char '\x1e' block)
+      in
+      let keys = ref [] in
+      Workload.Txgen.iter_keys block (fun o s -> keys := (o, s) :: !keys);
+      Workload.Txgen.tx_of_string block = model_tx_of_string block
+      && Workload.Txgen.block_txs block = expected
+      && List.rev !keys
+         = List.map
+             (fun (tx : Workload.Txgen.tx) -> (tx.owner, tx.seqno))
+             expected)
+
 let test_tx_bytes_estimate () =
   let g = Workload.Txgen.gen ~owner:3 ~body_bytes:20 in
   let tx = Workload.Txgen.next_tx g in
@@ -232,7 +268,8 @@ let () =
           Alcotest.test_case "foreign block" `Quick test_foreign_block_parses_empty;
           Alcotest.test_case "tx bytes estimate" `Quick test_tx_bytes_estimate;
           Alcotest.test_case "block through codec" `Quick
-            test_block_through_node_payload ] );
+            test_block_through_node_payload;
+          QCheck_alcotest.to_alcotest prop_block_parse_matches_split ] );
       ( "mempool",
         [ Alcotest.test_case "submit dedup" `Quick test_mempool_submit_dedup;
           Alcotest.test_case "assemble and retire" `Quick
